@@ -26,12 +26,14 @@
 #                       experiment (self-checking: nonzero exit unless the mid-run
 #                       selector swap improves gray-failure p99 >=2x with zero
 #                       restarts and a byte-identical same-seed replay)
+#   make fuzz-smoke   - one pass of each fuzz target over its seed corpus
+#                       (SQL parser + executor differential, rendezvous pick)
 #   make api-check    - diff the facade's exported surface against testdata/api_surface.txt
 
 GO ?= go
 TRACE_TMP := $(shell mktemp -d 2>/dev/null || echo /tmp)/jade-trace.json
 
-.PHONY: all build test vet race sweep trace-smoke bench-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check ci
+.PHONY: all build test vet race sweep trace-smoke bench-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke fuzz-smoke api-check ci
 
 all: build
 
@@ -85,7 +87,11 @@ config-smoke:
 	$(GO) test -run 'TestConfigPostRoundTrip|TestNoopRefreshTrajectoryNeutral' .
 	$(GO) run ./cmd/jadebench -experiment liveretune -quick
 
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 1x ./internal/sqlengine
+	$(GO) test -run '^$$' -fuzz '^FuzzRendezvousPick$$' -fuzztime 1x ./internal/selector
+
 api-check:
 	$(GO) test -run TestAPISurface .
 
-ci: vet race sweep trace-smoke bench-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke api-check
+ci: vet race sweep trace-smoke bench-smoke obs-smoke netsim-smoke selector-smoke alert-smoke fluid-smoke diff-smoke config-smoke fuzz-smoke api-check

@@ -19,11 +19,58 @@ var (
 // Row is one table row; indices align with the table's columns.
 type Row []Value
 
-// Table is one in-memory table.
+// Table is one in-memory table. Rows is exported for reading only:
+// callers must not mutate it, because the table's equality indexes
+// track its row positions and INT cells.
 type Table struct {
 	Name    string
 	Columns []Column
 	Rows    []Row
+	// idx holds one lazily built equality index per INT column (nil
+	// entries are unbuilt); the whole slice is nil until the first one.
+	idx []*eqIndex
+}
+
+// eqIndex maps an INT value to the rows holding it as a chain through
+// row positions: last[v] is the highest row whose cell is v, and prev[i]
+// is the next lower row sharing row i's value (-1 ends a chain; NULL
+// rows are never linked). prev has one entry per row, so INSERT extends
+// it in O(1).
+type eqIndex struct {
+	last map[int64]int32
+	prev []int32
+}
+
+// add links row position pos, whose indexed cell is v, into the index.
+func (ix *eqIndex) add(v Value, pos int32) {
+	n, ok := v.(int64)
+	if !ok {
+		ix.prev = append(ix.prev, -1)
+		return
+	}
+	p, ok := ix.last[n]
+	if !ok {
+		p = -1
+	}
+	ix.prev = append(ix.prev, p)
+	ix.last[n] = pos
+}
+
+// index returns the equality index on INT column ci, building it on
+// first use.
+func (t *Table) index(ci int) *eqIndex {
+	if t.idx == nil {
+		t.idx = make([]*eqIndex, len(t.Columns))
+	}
+	if ix := t.idx[ci]; ix != nil {
+		return ix
+	}
+	ix := &eqIndex{last: make(map[int64]int32), prev: make([]int32, 0, len(t.Rows))}
+	for i, row := range t.Rows {
+		ix.add(row[ci], int32(i))
+	}
+	t.idx[ci] = ix
+	return ix
 }
 
 func (t *Table) colIndex(name string) (int, error) {
@@ -37,8 +84,13 @@ func (t *Table) colIndex(name string) (int, error) {
 
 // Engine is one database instance (one MySQL replica's state).
 type Engine struct {
-	tables map[string]*Table
-	writes uint64 // count of successfully executed write statements
+	tables   map[string]*Table
+	writes   uint64 // count of successfully executed write statements
+	examined uint64 // rows visited while evaluating WHERE clauses
+	matched  uint64 // of those, rows the WHERE clause held for
+	// Per-statement scratch, reused to keep lookups allocation-free.
+	conds []cond
+	pos   []int32
 }
 
 // New returns an empty database.
@@ -53,6 +105,18 @@ type Result struct {
 
 // Writes returns the number of write statements executed successfully.
 func (e *Engine) Writes() uint64 { return e.writes }
+
+// RowsExamined returns the number of rows visited while evaluating WHERE
+// clauses (SELECT, UPDATE and DELETE; a statement without WHERE visits
+// every row). An index lookup visits only the rows holding its value, and
+// building an index is not counted, so the count is a deterministic
+// measure of per-statement scan work.
+func (e *Engine) RowsExamined() uint64 { return e.examined }
+
+// RowsMatched returns how many of the examined rows satisfied their
+// WHERE clause (before any LIMIT). RowsExamined minus RowsMatched is the
+// scan work spent on rows a statement did not want.
+func (e *Engine) RowsMatched() uint64 { return e.matched }
 
 // Tables returns table names sorted.
 func (e *Engine) Tables() []string {
@@ -123,26 +187,27 @@ func (e *Engine) execDrop(s DropStmt) (Result, error) {
 	return Result{}, nil
 }
 
-// coerce converts a literal to the column type, allowing int→float.
+// coerce converts a literal to the column type, allowing int→float. A
+// value that already has the column's type is returned as is, without
+// re-boxing it.
 func coerce(v Value, t ColType) (Value, error) {
-	if v == nil {
+	switch n := v.(type) {
+	case nil:
 		return nil, nil
-	}
-	switch t {
-	case TInt:
-		if n, ok := v.(int64); ok {
-			return n, nil
-		}
-	case TFloat:
-		switch n := v.(type) {
-		case float64:
-			return n, nil
-		case int64:
+	case int64:
+		switch t {
+		case TInt:
+			return v, nil
+		case TFloat:
 			return float64(n), nil
 		}
-	case TText:
-		if s, ok := v.(string); ok {
-			return s, nil
+	case float64:
+		if t == TFloat {
+			return v, nil
+		}
+	case string:
+		if t == TText {
+			return v, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: %v (%T) is not %s", ErrTypeMismatch, v, v, t)
@@ -153,8 +218,7 @@ func (e *Engine) execInsert(s InsertStmt) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	row := make(Row, len(t.Columns))
-	assigned := make([]bool, len(t.Columns))
+	row := make(Row, len(t.Columns)) // unassigned columns stay NULL
 	for i, cn := range s.Columns {
 		ci, err := t.colIndex(cn)
 		if err != nil {
@@ -165,11 +229,10 @@ func (e *Engine) execInsert(s InsertStmt) (Result, error) {
 			return Result{}, fmt.Errorf("column %s: %w", cn, err)
 		}
 		row[ci] = v
-		assigned[ci] = true
 	}
-	for i := range row {
-		if !assigned[i] {
-			row[i] = nil
+	for ci, ix := range t.idx {
+		if ix != nil {
+			ix.add(row[ci], int32(len(t.Rows)))
 		}
 	}
 	t.Rows = append(t.Rows, row)
@@ -177,21 +240,142 @@ func (e *Engine) execInsert(s InsertStmt) (Result, error) {
 	return Result{Affected: 1}, nil
 }
 
-func matches(t *Table, row Row, conds []Cond) (bool, error) {
-	for _, c := range conds {
+// cond is a WHERE condition with its column resolved once per
+// statement. An unknown column leaves ci at -1 and err set; the error
+// is raised only when a row reaches the condition, as a row-by-row
+// evaluation of the unresolved condition would.
+type cond struct {
+	Cond
+	ci  int
+	err error
+}
+
+// bind resolves where against t into e.conds. key is the position of a
+// condition the equality index can serve ("INT column = int literal"),
+// or -1 when the rows must be scanned: no condition qualifies, or some
+// condition could fail on a row (unknown column or operator, literal
+// incomparable with the column), which only a full scan reports.
+func (e *Engine) bind(t *Table, where []Cond) (conds []cond, key int) {
+	conds = e.conds[:0]
+	key = -1
+	safe := true
+	for i, c := range where {
 		ci, err := t.colIndex(c.Column)
-		if err != nil {
-			return false, err
+		conds = append(conds, cond{Cond: c, ci: ci, err: err})
+		if err != nil || !safeCond(t.Columns[ci].Type, c.Op, c.Val) {
+			safe = false
+			continue
 		}
-		ok, err := compare(row[ci], c.Op, c.Val)
-		if err != nil {
-			return false, err
+		if _, isInt := c.Val.(int64); key < 0 && isInt && c.Op == "=" && t.Columns[ci].Type == TInt {
+			key = i
 		}
-		if !ok {
-			return false, nil
+	}
+	e.conds = conds
+	if !safe {
+		key = -1
+	}
+	return conds, key
+}
+
+// safeCond reports whether compare cannot fail for op and lit against
+// any cell of a column of type typ (such cells hold typ's Go type or NULL).
+func safeCond(typ ColType, op string, lit Value) bool {
+	switch op {
+	case "=", "!=", "<", ">", "<=", ">=":
+	default:
+		return false
+	}
+	switch lit.(type) {
+	case nil:
+		return true
+	case int64, float64:
+		return typ != TText
+	case string:
+		return typ == TText
+	}
+	return false
+}
+
+// matches evaluates the bound conditions on row, stopping at the first
+// false or failing one.
+func matches(row Row, conds []cond) (bool, error) {
+	for i := range conds {
+		c := &conds[i]
+		if c.err != nil {
+			return false, c.err
+		}
+		ok, err := compare(row[c.ci], c.Op, c.Val)
+		if err != nil || !ok {
+			return false, err
 		}
 	}
 	return true, nil
+}
+
+// rowScan yields the rows of one table that satisfy a WHERE clause, in
+// ascending row order.
+type rowScan struct {
+	e     *Engine
+	rows  []Row
+	conds []cond
+	// pos lists the candidate row positions, ascending, when an index
+	// serves the clause; otherwise every row is a candidate.
+	pos     []int32
+	indexed bool
+	i       int
+}
+
+// scan starts a rowScan of t for where. With an index-served condition
+// it visits only the rows holding that value; otherwise it visits every
+// row, and stops with the error of the first row a condition fails on.
+func (e *Engine) scan(t *Table, where []Cond) rowScan {
+	conds, key := e.bind(t, where)
+	s := rowScan{e: e, rows: t.Rows, conds: conds}
+	if key < 0 {
+		return s
+	}
+	c := conds[key]
+	ix := t.index(c.ci)
+	pos := e.pos[:0]
+	if p, ok := ix.last[c.Val.(int64)]; ok {
+		for ; p >= 0; p = ix.prev[p] {
+			pos = append(pos, p)
+		}
+	}
+	for i, j := 0, len(pos)-1; i < j; i, j = i+1, j-1 { // chains run downwards
+		pos[i], pos[j] = pos[j], pos[i]
+	}
+	e.pos = pos
+	s.pos, s.indexed = pos, true
+	return s
+}
+
+// next returns the next matching row, or ok false once the scan is done
+// or has failed with err. Index-served scans cannot fail: bind only
+// serves clauses whose every condition is safe.
+func (s *rowScan) next() (row Row, ok bool, err error) {
+	for {
+		if s.indexed {
+			if s.i >= len(s.pos) {
+				return nil, false, nil
+			}
+			row = s.rows[s.pos[s.i]]
+		} else {
+			if s.i >= len(s.rows) {
+				return nil, false, nil
+			}
+			row = s.rows[s.i]
+		}
+		s.i++
+		s.e.examined++
+		if ok, err = matches(row, s.conds); err != nil {
+			return nil, false, err
+		}
+		if ok {
+			s.e.matched++
+			return row, true, nil
+		}
+	}
 }
 
 // compare evaluates "cell op literal". NULL compares equal only to NULL
@@ -299,14 +483,13 @@ func (e *Engine) execSelect(s SelectStmt) (Result, error) {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
 	var matched []Row
-	for _, row := range t.Rows {
-		ok, err := matches(t, row, s.Where)
-		if err != nil {
-			return Result{}, err
-		}
-		if ok {
-			matched = append(matched, row)
-		}
+	sc := e.scan(t, s.Where)
+	row, ok, err := sc.next()
+	for ; ok; row, ok, err = sc.next() {
+		matched = append(matched, row)
+	}
+	if err != nil {
+		return Result{}, err
 	}
 	if s.OrderBy != "" {
 		ci, err := t.colIndex(s.OrderBy)
@@ -415,19 +598,24 @@ func (e *Engine) execUpdate(s UpdateStmt) (Result, error) {
 		}
 		ops = append(ops, setOp{ci: ci, v: v})
 	}
+	// Each row is updated as soon as it matches, so a failing row stops
+	// the statement with the rows before it already updated.
 	affected := 0
-	for i, row := range t.Rows {
-		ok, err := matches(t, row, s.Where)
-		if err != nil {
-			return Result{}, err
-		}
-		if !ok {
-			continue
-		}
+	sc := e.scan(t, s.Where)
+	row, ok, err := sc.next()
+	for ; ok; row, ok, err = sc.next() {
 		for _, op := range ops {
-			t.Rows[i][op.ci] = op.v
+			row[op.ci] = op.v
 		}
 		affected++
+	}
+	for _, op := range ops {
+		if op.ci < len(t.idx) {
+			t.idx[op.ci] = nil // assigned cells no longer match their chains
+		}
+	}
+	if err != nil {
+		return Result{}, err
 	}
 	e.writes++
 	return Result{Affected: affected}, nil
@@ -438,14 +626,20 @@ func (e *Engine) execDelete(s DeleteStmt) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
+	// Row positions shift (even on a failing row, which stops the
+	// compaction midway), so every index of the table goes.
+	t.idx = nil
+	conds, _ := e.bind(t, s.Where)
 	kept := t.Rows[:0]
 	affected := 0
 	for _, row := range t.Rows {
-		ok, err := matches(t, row, s.Where)
+		e.examined++
+		ok, err := matches(row, conds)
 		if err != nil {
 			return Result{}, err
 		}
 		if ok {
+			e.matched++
 			affected++
 		} else {
 			kept = append(kept, row)
@@ -458,6 +652,7 @@ func (e *Engine) execDelete(s DeleteStmt) (Result, error) {
 
 // Snapshot returns a deep copy of the database — the "initial known state"
 // installed on a fresh replica before the recovery log replays the delta.
+// Indexes are not copied; the copy builds its own on first use.
 func (e *Engine) Snapshot() *Engine {
 	cp := New()
 	cp.writes = e.writes
