@@ -27,7 +27,8 @@
 #                       selector swap improves gray-failure p99 >=2x with zero
 #                       restarts and a byte-identical same-seed replay)
 #   make fuzz-smoke   - one pass of each fuzz target over its seed corpus
-#                       (SQL parser + executor differential, rendezvous pick)
+#                       (SQL parser + executor differential, IsWrite vs its
+#                       strings.Fields definition, rendezvous pick)
 #   make api-check    - diff the facade's exported surface against testdata/api_surface.txt
 
 GO ?= go
@@ -89,6 +90,7 @@ config-smoke:
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 1x ./internal/sqlengine
+	$(GO) test -run '^$$' -fuzz '^FuzzIsWrite$$' -fuzztime 1x ./internal/sqlengine
 	$(GO) test -run '^$$' -fuzz '^FuzzRendezvousPick$$' -fuzztime 1x ./internal/selector
 
 api-check:

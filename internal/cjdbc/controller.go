@@ -79,6 +79,11 @@ type writeWait struct {
 	successes int
 	done      func(error)
 	firstErr  error
+	// stmt is the write parsed once, shared by every backend that applies
+	// the record while the write is in flight; nil when the text does not
+	// parse, so each backend fails on the text as it would alone. The
+	// recovery log keeps only the text: later replays parse it.
+	stmt sqlengine.Statement
 }
 
 // Options tunes the controller.
@@ -417,7 +422,11 @@ func (c *Controller) pump(b *backend) {
 	// already completed, and a child span closing after its parent would
 	// break span-tree well-formedness (and misattribute latency).
 	q := rec.Query
-	if w, ok := c.waiters[rec.Index]; !ok || !w.waitingOn[b.name] {
+	w, live := c.waiters[rec.Index]
+	if live {
+		q.Stmt = w.stmt
+	}
+	if !live || !w.waitingOn[b.name] {
 		q.TraceSpan = 0
 	}
 	c.net.ForwardSQL(c.node.Name(), "sql", b.srv, q, func(err error) {
@@ -550,13 +559,15 @@ func (c *Controller) execWrite(q legacy.Query, done func(error)) {
 		done(fmt.Errorf("%w: cannot write through %s", ErrNoBackend, c.name))
 		return
 	}
+	q.Stmt = nil // the log stays text (§4.1); the waiter carries the parse
 	idx := c.log.Append(q)
 	c.writes++
 	if q.TraceSpan != 0 {
 		c.Trace.EmitIn(q.TraceSpan, "sql.write", c.name,
 			trace.Fi("log-index", int(idx)), trace.Fi("acks", len(actives)))
 	}
-	w := &writeWait{waitingOn: make(map[string]bool, len(actives)), done: done}
+	stmt, _ := sqlengine.Parse(q.SQL) // a parse error resurfaces on each backend
+	w := &writeWait{waitingOn: make(map[string]bool, len(actives)), done: done, stmt: stmt}
 	for _, b := range actives {
 		w.waitingOn[b.name] = true
 	}

@@ -8,10 +8,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"jade/internal/metrics"
 	"jade/internal/sim"
@@ -32,7 +33,18 @@ type Job struct {
 	remaining float64 // CPU-seconds of service still owed
 	done      func()
 	failed    func()
-	canceled  bool
+	// idx is the job's slot in node.jobs while it runs. A job is live
+	// only while node.jobs[idx] is the job itself.
+	idx      int
+	canceled bool
+}
+
+// settleOrder is the order jobs finishing or aborting together are
+// settled in: least remaining service first, then submission (FIFO)
+// order. seq is unique per node, so the order is total and the settled
+// sequence never depends on where jobs sit in node.jobs.
+func settleOrder(a, b *Job) int {
+	return cmp.Or(cmp.Compare(a.remaining, b.remaining), cmp.Compare(a.seq, b.seq))
 }
 
 // Config describes a node's resources.
@@ -61,9 +73,16 @@ type Node struct {
 	name string
 	cfg  Config
 
-	jobs       map[*Job]struct{}
+	// jobs holds the active jobs in no meaningful order: every pass over
+	// it is order-independent (per-job progress, an exact minimum, and
+	// settle orders taken from settleOrder).
+	jobs       []*Job
 	lastUpdate float64
 	completion sim.Handle
+	// complete is n.onCompletion, bound once so rescheduling does not
+	// allocate a method value; finished is onCompletion's reused scratch.
+	complete func()
+	finished []*Job
 	// completeLabel is the completion event label, precomputed so the
 	// cancel-and-reschedule hot path does not concatenate strings.
 	completeLabel string
@@ -102,13 +121,14 @@ func NewNode(eng *sim.Engine, name string, cfg Config) *Node {
 	if cfg.MemoryMB <= 0 {
 		panic(fmt.Sprintf("cluster: node %q with non-positive memory", name))
 	}
-	return &Node{
+	n := &Node{
 		eng:           eng,
 		name:          name,
 		cfg:           cfg,
-		jobs:          make(map[*Job]struct{}),
 		completeLabel: "node:" + name + ":complete",
 	}
+	n.complete = n.onCompletion
+	return n
 }
 
 // Name returns the node's hostname.
@@ -144,7 +164,7 @@ func (n *Node) advance() {
 	dt := now - n.lastUpdate
 	if dt > 0 && len(n.jobs) > 0 {
 		rate := n.effectiveCapacity() / float64(len(n.jobs))
-		for j := range n.jobs {
+		for _, j := range n.jobs {
 			j.remaining -= dt * rate
 		}
 	}
@@ -153,7 +173,9 @@ func (n *Node) advance() {
 
 // reschedule computes the next completion instant and (re)schedules it.
 // Canceling a zero or already-fired handle is a no-op, so no guard is
-// needed around the cancel.
+// needed around the cancel. It reschedules even when the instant is
+// unchanged: each schedule draws the engine's next sequence number, which
+// orders the completion among other events at the same instant.
 func (n *Node) reschedule() {
 	n.eng.Cancel(n.completion)
 	n.completion = sim.Handle{}
@@ -169,7 +191,7 @@ func (n *Node) reschedule() {
 	// flow leaves, so the meter reads fully busy.
 	n.util.SetBusy(n.eng.Now(), 1)
 	minRem := math.Inf(1)
-	for j := range n.jobs {
+	for _, j := range n.jobs {
 		if j.remaining < minRem {
 			minRem = j.remaining
 		}
@@ -178,32 +200,35 @@ func (n *Node) reschedule() {
 		minRem = 0
 	}
 	dt := minRem * float64(len(n.jobs)) / n.effectiveCapacity()
-	n.completion = n.eng.After(dt, n.completeLabel, n.onCompletion)
+	n.completion = n.eng.After(dt, n.completeLabel, n.complete)
 }
 
 func (n *Node) onCompletion() {
 	n.completion = sim.Handle{}
 	n.advance()
 	const eps = 1e-9
-	var finished []*Job
-	for j := range n.jobs {
+	finished := n.finished[:0]
+	kept := n.jobs[:0]
+	for _, j := range n.jobs {
 		if j.remaining <= eps {
 			finished = append(finished, j)
+		} else {
+			j.idx = len(kept)
+			kept = append(kept, j)
 		}
 	}
+	clear(n.jobs[len(kept):])
+	n.jobs = kept
 	// Deterministic completion order: jobs finishing in the same event
-	// complete in submission (FIFO) order. Without the seq tie-break the
-	// order of equal-remaining jobs would be map-iteration order —
-	// non-deterministic, and able to reorder a request pipeline (e.g.
-	// writes traversing a balancer's proxy node).
-	sort.Slice(finished, func(i, k int) bool {
-		if finished[i].remaining != finished[k].remaining {
-			return finished[i].remaining < finished[k].remaining
+	// complete in settleOrder, so equal-remaining jobs complete in
+	// submission (FIFO) order whatever their slots. Slot order would let
+	// a cancellation's swap reorder a request pipeline (e.g. writes
+	// traversing a balancer's proxy node). Usually one job finishes, so
+	// an insertion sort does.
+	for i := 1; i < len(finished); i++ {
+		for k := i; k > 0 && settleOrder(finished[k], finished[k-1]) < 0; k-- {
+			finished[k], finished[k-1] = finished[k-1], finished[k]
 		}
-		return finished[i].seq < finished[k].seq
-	})
-	for _, j := range finished {
-		delete(n.jobs, j)
 	}
 	n.reschedule()
 	for _, j := range finished {
@@ -212,6 +237,8 @@ func (n *Node) onCompletion() {
 			j.done()
 		}
 	}
+	clear(finished) // drop the jobs so their callbacks can be collected
+	n.finished = finished[:0]
 }
 
 // Submit adds a CPU job of the given service demand (CPU-seconds). done
@@ -229,8 +256,8 @@ func (n *Node) Submit(service float64, done func(), failedFn func()) *Job {
 		return nil
 	}
 	n.advance()
-	j := &Job{node: n, seq: n.jobsStarted, remaining: service, done: done, failed: failedFn}
-	n.jobs[j] = struct{}{}
+	j := &Job{node: n, seq: n.jobsStarted, remaining: service, done: done, failed: failedFn, idx: len(n.jobs)}
+	n.jobs = append(n.jobs, j)
 	n.jobsStarted++
 	n.reschedule()
 	return j
@@ -239,15 +266,16 @@ func (n *Node) Submit(service float64, done func(), failedFn func()) *Job {
 // Cancel aborts a job before completion; its failed callback runs. A nil
 // or already finished job is a no-op.
 func (n *Node) Cancel(j *Job) {
-	if j == nil || j.canceled {
-		return
-	}
-	if _, ok := n.jobs[j]; !ok {
+	if j == nil || j.canceled || j.idx >= len(n.jobs) || n.jobs[j.idx] != j {
 		return
 	}
 	j.canceled = true
 	n.advance()
-	delete(n.jobs, j)
+	last := len(n.jobs) - 1
+	n.jobs[j.idx] = n.jobs[last]
+	n.jobs[j.idx].idx = j.idx
+	n.jobs[last] = nil
+	n.jobs = n.jobs[:last]
 	n.jobsAborted++
 	n.reschedule()
 	if j.failed != nil {
@@ -395,17 +423,9 @@ func (n *Node) Fail() {
 	n.failed = true
 	n.eng.Cancel(n.completion)
 	n.completion = sim.Handle{}
-	aborted := make([]*Job, 0, len(n.jobs))
-	for j := range n.jobs {
-		aborted = append(aborted, j)
-	}
-	sort.Slice(aborted, func(i, k int) bool {
-		if aborted[i].remaining != aborted[k].remaining {
-			return aborted[i].remaining < aborted[k].remaining
-		}
-		return aborted[i].seq < aborted[k].seq
-	})
-	n.jobs = make(map[*Job]struct{})
+	aborted := n.jobs
+	n.jobs = nil
+	slices.SortFunc(aborted, settleOrder)
 	n.jobsAborted += uint64(len(aborted))
 	n.memUsed = 0
 	n.bgLoad = 0 // the fluid flow reroutes; next tick reloads survivors

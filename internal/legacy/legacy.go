@@ -21,6 +21,7 @@ import (
 	"jade/internal/config"
 	"jade/internal/obs"
 	"jade/internal/sim"
+	"jade/internal/sqlengine"
 	"jade/internal/trace"
 )
 
@@ -64,6 +65,10 @@ func (s State) String() string {
 type Query struct {
 	SQL  string
 	Cost float64 // CPU-seconds on a database node
+	// Stmt, when set, is SQL already parsed; servers execute it instead
+	// of parsing the text again. Statements are never mutated by
+	// execution, so one can be shared by every replica of a broadcast.
+	Stmt sqlengine.Statement
 	// TraceSpan, when non-zero, is the telemetry span this query belongs
 	// to; servers along the path attach their own child spans under it.
 	TraceSpan trace.ID

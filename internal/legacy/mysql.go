@@ -109,7 +109,7 @@ func (m *MySQL) Start(done func(error)) {
 func (m *MySQL) Stop(done func(error)) { m.end(done) }
 
 // ExecSQL consumes CPU for the query, then executes the statement against
-// the database.
+// the database: q.Stmt when the query carries it, else the parsed text.
 func (m *MySQL) ExecSQL(q Query, done func(error)) {
 	if m.state != Running {
 		m.obs.Drop()
@@ -142,7 +142,13 @@ func (m *MySQL) ExecSQL(q Query, done func(error)) {
 	}
 	m.node.Submit(q.Cost, func() {
 		busy = m.env.Eng.Now() - submitted
-		if _, err := m.db.Exec(q.SQL); err != nil {
+		var err error
+		if q.Stmt != nil {
+			_, err = m.db.ExecStmt(q.Stmt)
+		} else {
+			_, err = m.db.Exec(q.SQL)
+		}
+		if err != nil {
 			m.failed++
 			done(fmt.Errorf("mysql %s: %w", m.name, err))
 			return

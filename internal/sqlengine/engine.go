@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -89,8 +90,12 @@ type Engine struct {
 	examined uint64 // rows visited while evaluating WHERE clauses
 	matched  uint64 // of those, rows the WHERE clause held for
 	// Per-statement scratch, reused to keep lookups allocation-free.
+	// rows holds a SELECT's matched rows and is cleared after each use,
+	// so it never keeps deleted rows alive; proj holds its projection.
 	conds []cond
 	pos   []int32
+	rows  []Row
+	proj  []int
 }
 
 // New returns an empty database.
@@ -482,12 +487,14 @@ func (e *Engine) execSelect(s SelectStmt) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	var matched []Row
+	matched := e.rows[:0]
 	sc := e.scan(t, s.Where)
 	row, ok, err := sc.next()
 	for ; ok; row, ok, err = sc.next() {
 		matched = append(matched, row)
 	}
+	e.rows = matched
+	defer clear(matched)
 	if err != nil {
 		return Result{}, err
 	}
@@ -496,12 +503,21 @@ func (e *Engine) execSelect(s SelectStmt) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		sort.SliceStable(matched, func(i, j int) bool {
-			less := lessValue(matched[i][ci], matched[j][ci])
+		// One column's cells share a type (or are NULL), so lessValue is a
+		// strict weak order on them and every stable sort yields the same
+		// sequence.
+		slices.SortStableFunc(matched, func(a, b Row) int {
+			x, y := a[ci], b[ci]
 			if s.Desc {
-				return lessValue(matched[j][ci], matched[i][ci])
+				x, y = y, x
 			}
-			return less
+			switch {
+			case lessValue(x, y):
+				return -1
+			case lessValue(y, x):
+				return 1
+			}
+			return 0
 		})
 	}
 	if s.Limit >= 0 && len(matched) > s.Limit {
@@ -515,29 +531,40 @@ func (e *Engine) execSelect(s SelectStmt) (Result, error) {
 		for i, c := range t.Columns {
 			cols[i] = c.Name
 		}
-		out := make([]Row, len(matched))
+		out := carve(len(matched), len(cols))
 		for i, r := range matched {
-			out[i] = append(Row(nil), r...)
+			copy(out[i], r)
 		}
 		return Result{Columns: cols, Rows: out}, nil
 	}
-	idx := make([]int, len(s.Columns))
-	for i, cn := range s.Columns {
+	idx := e.proj[:0]
+	for _, cn := range s.Columns {
 		ci, err := t.colIndex(cn)
 		if err != nil {
 			return Result{}, err
 		}
-		idx[i] = ci
+		idx = append(idx, ci)
 	}
-	out := make([]Row, len(matched))
+	e.proj = idx
+	out := carve(len(matched), len(idx))
 	for i, r := range matched {
-		proj := make(Row, len(idx))
 		for j, ci := range idx {
-			proj[j] = r[ci]
+			out[i][j] = r[ci]
 		}
-		out[i] = proj
 	}
 	return Result{Columns: append([]string(nil), s.Columns...), Rows: out}, nil
+}
+
+// carve returns n result rows of width cells, cut from one backing array.
+// Each row's capacity ends at its width, so appending to one reallocates
+// it rather than overwriting its neighbour.
+func carve(n, width int) []Row {
+	cells := make(Row, n*width)
+	out := make([]Row, n)
+	for i := range out {
+		out[i] = cells[i*width : (i+1)*width : (i+1)*width]
+	}
+	return out
 }
 
 // lessValue orders values of the same family; NULL sorts first.

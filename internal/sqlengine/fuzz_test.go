@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -66,6 +67,47 @@ func FuzzParse(f *testing.F) {
 			got, gotErr := e.ExecStmt(stmt)
 			want, wantErr := ref.execStmt(stmt)
 			checkSame(t, fmt.Sprintf("run %d of %q", i, sql), e, ref, got, want, gotErr, wantErr)
+		}
+	})
+}
+
+// isWriteFields is IsWrite's previous definition: upper-case the first
+// strings.Fields field and compare it with the write keywords.
+func isWriteFields(sql string) bool {
+	fields := strings.Fields(sql)
+	if len(fields) == 0 {
+		return false
+	}
+	switch strings.ToUpper(fields[0]) {
+	case "INSERT", "UPDATE", "DELETE", "CREATE", "DROP":
+		return true
+	}
+	return false
+}
+
+// FuzzIsWrite requires IsWrite, which scans only the first word, to
+// classify every input as the strings.Fields definition does, including
+// Unicode white space, invalid UTF-8 and words whose upper case differs
+// in length.
+func FuzzIsWrite(f *testing.F) {
+	for _, s := range []string{
+		"INSERT INTO t (a) VALUES (1)",
+		"  update t SET a = 1",
+		"SELECT * FROM t",
+		"",
+		" \t\n ",
+		"DELETE",
+		"drop\u00a0TABLE t",
+		"\u0085CREATE TABLE t (a INT)",
+		"ınsert INTO t (a) VALUES (1)",
+		"INSERT\xffINTO",
+		"INSERTS INTO t",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		if got, want := IsWrite(sql), isWriteFields(sql); got != want {
+			t.Fatalf("IsWrite(%q) = %v, strings.Fields definition says %v", sql, got, want)
 		}
 	})
 }

@@ -39,7 +39,10 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// RUBiS statements average four bytes per token and none has more
+	// than one token per three bytes (plus EOF), so this capacity is
+	// allocated once and never grown for them.
+	l := &lexer{src: src, tokens: make([]token, 0, len(src)/3+4)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {

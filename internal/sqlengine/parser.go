@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ColType is a column's data type.
@@ -502,12 +503,18 @@ func (p *parser) optionalWhere() ([]Cond, error) {
 
 // IsWrite reports whether a statement mutates database state. It is the
 // classification C-JDBC's recovery log applies to decide what to record.
+// It looks only at the first whitespace-separated word, which it
+// upper-cases without allocating when the word already is upper case.
 func IsWrite(sql string) bool {
-	fields := strings.Fields(sql)
-	if len(fields) == 0 {
+	start := strings.IndexFunc(sql, func(r rune) bool { return !unicode.IsSpace(r) })
+	if start < 0 {
 		return false
 	}
-	switch strings.ToUpper(fields[0]) {
+	word := sql[start:]
+	if end := strings.IndexFunc(word, unicode.IsSpace); end >= 0 {
+		word = word[:end]
+	}
+	switch strings.ToUpper(word) {
 	case "INSERT", "UPDATE", "DELETE", "CREATE", "DROP":
 		return true
 	}
