@@ -28,7 +28,8 @@
 #                       restarts and a byte-identical same-seed replay)
 #   make fuzz-smoke   - one pass of each fuzz target over its seed corpus
 #                       (SQL parser + executor differential, IsWrite vs its
-#                       strings.Fields definition, rendezvous pick)
+#                       strings.Fields definition, rendezvous pick, run-spec
+#                       parse/marshal fixpoint)
 #   make api-check    - diff the facade's exported surface against testdata/api_surface.txt
 
 GO ?= go
@@ -92,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 1x ./internal/sqlengine
 	$(GO) test -run '^$$' -fuzz '^FuzzIsWrite$$' -fuzztime 1x ./internal/sqlengine
 	$(GO) test -run '^$$' -fuzz '^FuzzRendezvousPick$$' -fuzztime 1x ./internal/selector
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 1x .
 
 api-check:
 	$(GO) test -run TestAPISurface .

@@ -68,12 +68,10 @@ const alertLatPageBound = 120.0
 // deterministic per seed regardless of the fan-out width.
 func RunAlertLatency(seed int64, quick bool) ([]AlertLatVariant, string, error) {
 	variants := []AlertLatVariant{{Name: "gray"}, {Name: "crash"}}
-	errs := make([]error, len(variants))
-	_ = forEachPar(len(variants), func(i int) error {
+	err := forEachPar(len(variants), func(i int) error {
 		r, err := RunScenario(AlertLatencyScenario(seed, variants[i].Name, quick))
 		if err != nil {
-			errs[i] = fmt.Errorf("alertlat %q: %w", variants[i].Name, err)
-			return errs[i]
+			return fmt.Errorf("alertlat %q: %w", variants[i].Name, err)
 		}
 		v := &variants[i]
 		v.Result = r
@@ -96,10 +94,8 @@ func RunAlertLatency(seed int64, quick bool) ([]AlertLatVariant, string, error) 
 		}
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", err
-		}
+	if err != nil {
+		return nil, "", err
 	}
 
 	for _, v := range variants {

@@ -10,8 +10,7 @@
 //	jadebench -bench-validate PATH
 //
 // -trace.chrome writes the managed paper run's telemetry bus as a Chrome
-// trace-event file (Perfetto-loadable); the old -trace spelling still
-// parses as a hidden deprecated alias that warns once.
+// trace-event file (Perfetto-loadable).
 //
 // -parallel fans independent runs (sweep seeds, ablation variants, the
 // managed/unmanaged pair) over a worker pool; 0 uses GOMAXPROCS. Results
@@ -78,11 +77,9 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	specFlags := cliutil.RegisterSpecGroups(flag.CommandLine,
 		"sessions", "recovery", "workload", "fault", "route", "net", "alert")
-	cliutil.Warnings = os.Stderr
-	cliutil.Alias(flag.CommandLine, "trace.chrome", "trace")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: jadebench [flags]")
-		cliutil.PrintDefaults(flag.CommandLine, os.Stderr)
+		flag.PrintDefaults()
 	}
 	flag.Parse()
 

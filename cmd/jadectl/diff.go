@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"jade"
-	"jade/internal/cliutil"
 )
 
 // cmdDiff compares two run artifact directories (written with
@@ -20,7 +19,7 @@ func cmdDiff(args []string) error {
 	benchTol := fs.Float64("bench-tol", 0, "relative tolerance for BENCH_history ns/event entries (0 = default 0.10)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: jadectl diff [-tol X] [-slo-tol X] [-bench-tol X] RUN_DIR_A RUN_DIR_B")
-		cliutil.PrintDefaults(fs, os.Stderr)
+		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -44,9 +44,7 @@
 // -route.probe-after/-route.half-life tune the shared selector pool.
 //
 // scenario flags are namespaced by concern (fault.*, route.*, net.*,
-// trace.*, metrics.*); the pre-namespace spellings (-mtbf, -trace, -trace-jsonl,
-// -trace-requests, -metrics-dir, -metrics-interval, -http, -scrape-check,
-// -serve) still parse as hidden deprecated aliases that warn once.
+// trace.*, metrics.*, alert.*).
 //
 // -config loads a grouped run spec (JSON, the jade.Spec schema — see
 // examples/netfault.json); flags set explicitly on the command line
@@ -102,7 +100,6 @@ import (
 )
 
 func main() {
-	cliutil.Warnings = os.Stderr
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
@@ -288,13 +285,9 @@ func cmdScenario(args []string) error {
 	serve := fs.Bool("metrics.serve", false, "keep the admin endpoint serving the final pages after the run (requires -metrics.http; ctrl-C to exit)")
 	showAlerts := fs.Bool("alerts", false, "print the run's alert and incident report after the SLO table")
 	specFlags := cliutil.RegisterSpecFlags(fs)
-	cliutil.Alias(fs, "trace.chrome", "trace")
-	cliutil.Alias(fs, "trace.jsonl", "trace-jsonl")
-	cliutil.Alias(fs, "metrics.scrape-check", "scrape-check")
-	cliutil.Alias(fs, "metrics.serve", "serve")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: jadectl scenario [flags]")
-		cliutil.PrintDefaults(fs, os.Stderr)
+		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -325,7 +318,7 @@ func cmdScenario(args []string) error {
 			return err
 		}
 		spec = loaded
-		cliutil.SetVisited(fs, apply)
+		fs.Visit(func(f *flag.Flag) { apply(f.Name) })
 	} else {
 		specFlags.ApplyAll(&spec)
 	}
@@ -555,7 +548,7 @@ func cmdConfig(args []string) error {
 			fmt.Fprint(os.Stderr, " PATCH|@FILE|-")
 		}
 		fmt.Fprintln(os.Stderr)
-		cliutil.PrintDefaults(fs, os.Stderr)
+		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -91,21 +91,17 @@ func RunGrayFailure(seed int64, quick bool) ([]GrayFailVariant, string, error) {
 		{Name: "least-pending", Policy: "least-pending"},
 		{Name: "balanced", Policy: "balanced"},
 	}
-	errs := make([]error, len(variants))
-	_ = forEachPar(len(variants), func(i int) error {
+	err := forEachPar(len(variants), func(i int) error {
 		r, err := RunScenario(GrayFailureScenario(seed, variants[i].Policy, quick))
 		if err != nil {
-			errs[i] = fmt.Errorf("grayfail %q: %w", variants[i].Name, err)
-			return errs[i]
+			return fmt.Errorf("grayfail %q: %w", variants[i].Name, err)
 		}
 		variants[i].Result = r
 		variants[i].P99 = r.RequestLatency.Quantile(0.99)
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", err
-		}
+	if err != nil {
+		return nil, "", err
 	}
 
 	title := "Routing under gray failure (one slow Tomcat + one slow MySQL, constant 60 clients, 240 s)"

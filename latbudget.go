@@ -109,24 +109,20 @@ func RunLatBudget(seed int64, quick bool) ([]LatBudgetVariant, string, error) {
 		return nil, "", err
 	}
 	defer os.RemoveAll(root)
-	errs := make([]error, len(variants))
-	_ = forEachPar(len(variants), func(i int) error {
+	err = forEachPar(len(variants), func(i int) error {
 		v := &variants[i]
 		v.Dir = filepath.Join(root, v.Name)
 		cfg := LatBudgetScenario(seed, v.Name, quick)
 		cfg.MetricsDir = v.Dir
 		r, err := RunScenario(cfg)
 		if err != nil {
-			errs[i] = fmt.Errorf("latbudget %q: %w", v.Name, err)
-			return errs[i]
+			return fmt.Errorf("latbudget %q: %w", v.Name, err)
 		}
 		v.Result = r
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", err
-		}
+	if err != nil {
+		return nil, "", err
 	}
 
 	// Per-variant invariants: a budget exists, conserves latency, and

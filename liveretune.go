@@ -127,20 +127,16 @@ func RunLiveRetune(seed int64, quick bool) (*LiveRetuneResult, string, error) {
 
 	cfgs := []ScenarioConfig{controlCfg, retuneCfg, replayCfg, managedCfg}
 	runs := make([]*ScenarioResult, len(cfgs))
-	errs := make([]error, len(cfgs))
-	_ = forEachPar(len(cfgs), func(i int) error {
+	err := forEachPar(len(cfgs), func(i int) error {
 		r, err := RunScenario(cfgs[i])
 		if err != nil {
-			errs[i] = fmt.Errorf("liveretune run %d: %w", i, err)
-			return errs[i]
+			return fmt.Errorf("liveretune run %d: %w", i, err)
 		}
 		runs[i] = r
 		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, "", err
-		}
+	if err != nil {
+		return nil, "", err
 	}
 	res := &LiveRetuneResult{Control: runs[0], Retuned: runs[1], Managed: runs[3]}
 	replay := runs[2]

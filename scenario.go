@@ -1,6 +1,7 @@
 package jade
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -431,44 +432,99 @@ func (r *ScenarioResult) Throughput() float64 {
 }
 
 // RunScenario executes one full evaluation run in virtual time.
+//
+// The run is assembled plane by plane over one set of shared handles.
+// The call order below is part of the trajectory: every installer
+// registers its tickers and timers and draws from the engine RNG in
+// turn, and the engine's sequence numbers break same-instant ties in
+// registration order (see DESIGN.md, "Scenario assembly").
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
-	if cfg.Profile == nil {
-		cfg.Profile = PaperRamp()
+	a, err := assemble(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Mix == nil {
-		cfg.Mix = BiddingMix()
+	if err := a.installManagers(); err != nil {
+		return nil, err
 	}
+	a.installDetection()
+	a.installInvariants()
+	a.installAccounting()
+	if err := a.installWorkload(); err != nil {
+		return nil, err
+	}
+	a.installSLO()
+	a.installAlerting()
+	a.installRefresh()
+	if err := a.installPublisher(); err != nil {
+		return nil, err
+	}
+	a.installFaults()
+	return a.run()
+}
+
+// assembly is one scenario run under construction: the handles its
+// plane installers share. Each installer reads what earlier planes set
+// and adds its own handles.
+type assembly struct {
+	cfg     ScenarioConfig
+	fluidOn bool
+	res     *ScenarioResult
+	p       *Platform
+	dep     *Deployment
+	fabric  *netsim.Fabric // nil unless cfg.Net.Enabled
+	appTier *AppTier
+	dbTier  *DBTier
+	// The balancing tiers' wrappers, resolved once after deployment.
+	plb   *core.PLBWrapper
+	cjdbc *core.CJDBCWrapper
+	l4    *core.L4Wrapper // nil without an "l4" component
+
+	appReplicas, dbReplicas []string
+	arb                     *core.Arbiter
+	recMgr                  *RecoveryManager
+	detector                *netsim.Detector
+	harness                 *invariant.Harness
+	doubleRepair            *invariant.DoubleRepair
+	// Table 1 accounting: per-sample CPU and memory fraction sums.
+	cpuSum, memSum float64
+	samples        int
+	fnet           *fluid.Network
+	em             *Emulator
+	slo            *obs.SLOEngine
+	objs           []SLObjective
+	aeng           *alert.Engine
+	hub            *refresh.Hub
+	crt            *configRuntime
+	pub            *obs.Publisher
+	artifacts      []artifact
+	snapshot       func(now float64)
+	writeErr       error
+}
+
+// assemble fills in the configuration's defaults, builds the platform
+// (with the network fabric, so even the initial recovery-log joins
+// travel over it), deploys the architecture and resolves the tiers and
+// the balancing wrappers every later plane uses.
+func assemble(cfg ScenarioConfig) (*assembly, error) {
+	cfg.Profile = cmp.Or[Profile](cfg.Profile, PaperRamp())
+	cfg.Mix = cmp.Or(cfg.Mix, BiddingMix())
 	if cfg.Dataset == nil {
 		d := DefaultDataset()
 		cfg.Dataset = &d
 	}
-	if cfg.ThinkTime == 0 {
-		cfg.ThinkTime = 7
-	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 9
-	}
+	cfg.ThinkTime = cmp.Or(cfg.ThinkTime, 7)
+	cfg.Nodes = cmp.Or(cfg.Nodes, 9)
 	if cfg.AppSizing.Period == 0 {
 		cfg.AppSizing = AppSizingDefaults()
 	}
 	if cfg.DBSizing.Period == 0 {
 		cfg.DBSizing = DBSizingDefaults()
 	}
-	if cfg.DrainSeconds == 0 {
-		cfg.DrainSeconds = 60
-	}
-	if cfg.FluidTick == 0 {
-		cfg.FluidTick = 1
-	}
-	if cfg.FluidSampleRate == 0 {
-		cfg.FluidSampleRate = 0.02
-	}
-	if cfg.FluidMinSampled == 0 {
-		cfg.FluidMinSampled = 8
-	}
-	if cfg.NodeCPU == 0 {
-		cfg.NodeCPU = 1.0
-	}
+	cfg.DrainSeconds = cmp.Or(cfg.DrainSeconds, 60)
+	cfg.FluidTick = cmp.Or(cfg.FluidTick, 1)
+	cfg.FluidSampleRate = cmp.Or(cfg.FluidSampleRate, 0.02)
+	cfg.FluidMinSampled = cmp.Or(cfg.FluidMinSampled, 8)
+	cfg.NodeCPU = cmp.Or(cfg.NodeCPU, 1.0)
 	fluidOn, err := resolveWorkloadMode(cfg.WorkloadMode, cfg.Profile)
 	if err != nil {
 		return nil, err
@@ -477,7 +533,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		return nil, fmt.Errorf("jade: bad fluid parameters (tick %g, sample rate %g, node cpu %g)",
 			cfg.FluidTick, cfg.FluidSampleRate, cfg.NodeCPU)
 	}
-
 	if err := cfg.Routing.Validate(); err != nil {
 		return nil, err
 	}
@@ -501,15 +556,12 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		popts.Logf = cfg.Logf
 	}
 	popts.TraceDisabled = cfg.TraceOff
-	p := NewPlatform(popts)
-
-	// The network fabric goes in before deployment so even the initial
-	// recovery-log joins travel over it.
-	var fabric *netsim.Fabric
+	a := &assembly{cfg: cfg, fluidOn: fluidOn, p: NewPlatform(popts)}
+	p := a.p
 	if cfg.Net.Enabled {
-		fabric = netsim.New(p.Eng, cfg.Net, cfg.Seed)
-		fabric.Instrument(p.Trace(), p.Metrics())
-		p.Net.SetTransport(fabric)
+		a.fabric = netsim.New(p.Eng, cfg.Net, cfg.Seed)
+		a.fabric.Instrument(p.Trace(), p.Metrics())
+		p.Net.SetTransport(a.fabric)
 	}
 
 	dump, err := cfg.Dataset.InitialDatabase(cfg.Seed)
@@ -517,102 +569,74 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		return nil, err
 	}
 	p.RegisterDump("rubis", dump)
-
-	adlText := cfg.ADL
-	if adlText == "" {
-		adlText = ThreeTierADL
-	}
-	def, err := ParseADL(adlText)
+	def, err := ParseADL(cmp.Or(cfg.ADL, ThreeTierADL))
 	if err != nil {
 		return nil, err
 	}
-	var dep *Deployment
 	derr := errors.New("jade: deployment did not complete")
-	p.Deploy(def, func(d *Deployment, err error) { dep, derr = d, err })
+	p.Deploy(def, func(d *Deployment, err error) { a.dep, derr = d, err })
 	p.Eng.Run()
 	if derr != nil {
 		return nil, derr
 	}
 
-	appReplicas := cfg.AppReplicas
-	if len(appReplicas) == 0 {
-		appReplicas = []string{"tomcat1"}
+	a.appReplicas, a.dbReplicas = cfg.AppReplicas, cfg.DBReplicas
+	if len(a.appReplicas) == 0 {
+		a.appReplicas = []string{"tomcat1"}
 	}
-	dbReplicas := cfg.DBReplicas
-	if len(dbReplicas) == 0 {
-		dbReplicas = []string{"mysql1"}
+	if len(a.dbReplicas) == 0 {
+		a.dbReplicas = []string{"mysql1"}
 	}
-	appTier, err := NewAppTier(p, dep, "plb1", "cjdbc1", appReplicas)
-	if err != nil {
+	if a.appTier, err = NewAppTier(p, a.dep, "plb1", "cjdbc1", a.appReplicas); err != nil {
 		return nil, err
 	}
-	dbTier, err := NewDBTier(p, dep, "cjdbc1", dbReplicas)
-	if err != nil {
+	if a.dbTier, err = NewDBTier(p, a.dep, "cjdbc1", a.dbReplicas); err != nil {
 		return nil, err
 	}
+	a.plb = a.dep.MustComponent("plb1").Content().(*core.PLBWrapper)
+	a.cjdbc = a.dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper)
+	if c, err := a.dep.Component("l4"); err == nil {
+		a.l4, _ = c.Content().(*core.L4Wrapper)
+	}
 
-	res := &ScenarioResult{Config: cfg, Platform: p, Deployment: dep}
-	res.App.Min, res.App.Max = cfg.AppSizing.Min, cfg.AppSizing.Max
-	res.DB.Min, res.DB.Max = cfg.DBSizing.Min, cfg.DBSizing.Max
+	a.res = &ScenarioResult{Config: cfg, Platform: p, Deployment: a.dep}
+	a.res.App.Min, a.res.App.Max = cfg.AppSizing.Min, cfg.AppSizing.Max
+	a.res.DB.Min, a.res.DB.Max = cfg.DBSizing.Min, cfg.DBSizing.Max
+	return a, nil
+}
 
-	shared := &Inhibitor{}
-	var recMgr *RecoveryManager
-	var detector *netsim.Detector
-	var arb *core.Arbiter
-	if cfg.Managed {
-		cfg.AppSizing.MaxReplicas = cfg.MaxAppReplicas
-		cfg.DBSizing.MaxReplicas = cfg.MaxDBReplicas
-		appMgr, err := NewSizingManager(p, "self-optimization-app", appTier, cfg.AppSizing, shared)
-		if err != nil {
-			return nil, err
-		}
-		dbMgr, err := NewSizingManager(p, "self-optimization-db", dbTier, cfg.DBSizing, shared)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Arbitrate {
-			arb = core.NewArbiter(cfg.AppSizing.InhibitSeconds)
-			arb.Trace = p.Trace()
-			appMgr.Reactor.Arbiter = arb
-			dbMgr.Reactor.Arbiter = arb
-		}
-		if err := appMgr.Loop.Start(); err != nil {
-			return nil, err
-		}
-		if err := dbMgr.Loop.Start(); err != nil {
-			return nil, err
-		}
-		res.AppManager, res.DBManager = appMgr, dbMgr
-		res.App.CPURaw, res.App.CPUSmoothed = appMgr.Sensor.Raw, appMgr.Sensor.Smoothed
-		res.DB.CPURaw, res.DB.CPUSmoothed = dbMgr.Sensor.Raw, dbMgr.Sensor.Smoothed
-		res.App.Replicas = appMgr.Replicas
-		res.DB.Replicas = dbMgr.Replicas
-		if cfg.Recovery {
-			rec, err := NewRecoveryManager(p, "self-recovery", 1, appTier, dbTier)
-			if err != nil {
-				return nil, err
-			}
-			if arb != nil {
-				rec.Arbiter = arb
-			}
-			if fabric.Enabled() {
-				// With a real network the perfect oracle gives way to the
-				// heartbeat suspicion detector: detection is now late and
-				// sometimes wrong, as on the paper's LAN.
-				det := netsim.NewDetector(p.Eng, fabric, cfg.Net.Heartbeat)
-				det.Instrument(p.Trace(), p.Metrics())
-				rec.Suspector = det
-				detector = det
-			}
-			if err := rec.Loop.Start(); err != nil {
-				return nil, err
-			}
-			recMgr = rec
-		}
-	} else {
+// appPool is the PLB balancer's selector pool (nil while it is down).
+func (a *assembly) appPool() *selector.Pool {
+	if b := a.plb.Balancer(); b != nil {
+		return b.Pool()
+	}
+	return nil
+}
+
+// dbPool is the C-JDBC controller's read pool (nil while it is down).
+func (a *assembly) dbPool() *selector.Pool {
+	if ctl := a.cjdbc.Controller(); ctl != nil {
+		return ctl.Pool()
+	}
+	return nil
+}
+
+// newDetector builds the run's φ-accrual heartbeat detector.
+func (a *assembly) newDetector() *netsim.Detector {
+	a.detector = netsim.NewDetector(a.p.Eng, a.fabric, a.cfg.Net.Heartbeat)
+	a.detector.Instrument(a.p.Trace(), a.p.Metrics())
+	return a.detector
+}
+
+// installManagers starts the two self-optimization loops (with the
+// arbiter and the self-recovery manager when asked for), or, unmanaged,
+// the same CPU sensors as passive observers.
+func (a *assembly) installManagers() error {
+	p, res := a.p, a.res
+	if !a.cfg.Managed {
 		// Passive observation: same sensors, zero probe cost, no reactor.
-		appSensor := core.NewCPUSensor(appTier.Nodes, cfg.AppSizing.Window, 0)
-		dbSensor := core.NewCPUSensor(dbTier.Nodes, cfg.DBSizing.Window, 0)
+		appSensor := core.NewCPUSensor(a.appTier.Nodes, a.cfg.AppSizing.Window, 0)
+		dbSensor := core.NewCPUSensor(a.dbTier.Nodes, a.cfg.DBSizing.Window, 0)
 		res.App.CPURaw, res.App.CPUSmoothed = appSensor.Raw, appSensor.Smoothed
 		res.DB.CPURaw, res.DB.CPUSmoothed = dbSensor.Raw, dbSensor.Smoothed
 		res.App.Replicas = metrics.NewSeries("application-servers-replicas")
@@ -623,130 +647,175 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			appSensor.Sample(now)
 			dbSensor.Sample(now)
 		})
+		return nil
 	}
+	a.cfg.AppSizing.MaxReplicas = a.cfg.MaxAppReplicas
+	a.cfg.DBSizing.MaxReplicas = a.cfg.MaxDBReplicas
+	shared := &Inhibitor{}
+	appMgr, err := NewSizingManager(p, "self-optimization-app", a.appTier, a.cfg.AppSizing, shared)
+	if err != nil {
+		return err
+	}
+	dbMgr, err := NewSizingManager(p, "self-optimization-db", a.dbTier, a.cfg.DBSizing, shared)
+	if err != nil {
+		return err
+	}
+	if a.cfg.Arbitrate {
+		a.arb = core.NewArbiter(a.cfg.AppSizing.InhibitSeconds)
+		a.arb.Trace = p.Trace()
+		appMgr.Reactor.Arbiter = a.arb
+		dbMgr.Reactor.Arbiter = a.arb
+	}
+	if err := appMgr.Loop.Start(); err != nil {
+		return err
+	}
+	if err := dbMgr.Loop.Start(); err != nil {
+		return err
+	}
+	res.AppManager, res.DBManager = appMgr, dbMgr
+	res.App.CPURaw, res.App.CPUSmoothed = appMgr.Sensor.Raw, appMgr.Sensor.Smoothed
+	res.DB.CPURaw, res.DB.CPUSmoothed = dbMgr.Sensor.Raw, dbMgr.Sensor.Smoothed
+	res.App.Replicas = appMgr.Replicas
+	res.DB.Replicas = dbMgr.Replicas
+	if !a.cfg.Recovery {
+		return nil
+	}
+	rec, err := NewRecoveryManager(p, "self-recovery", 1, a.appTier, a.dbTier)
+	if err != nil {
+		return err
+	}
+	rec.Arbiter = a.arb
+	if a.fabric.Enabled() {
+		// With a real network the perfect oracle gives way to the
+		// heartbeat suspicion detector: detection is now late and
+		// sometimes wrong, as on the paper's LAN.
+		rec.Suspector = a.newDetector()
+	}
+	if err := rec.Loop.Start(); err != nil {
+		return err
+	}
+	a.recMgr = rec
+	return nil
+}
 
-	if detector == nil && cfg.Monitor && fabric.Enabled() {
-		// Monitoring-only mode: the detector watches the initial replicas
-		// as a signal source (suspicion routing, incident timelines, the
-		// alert-latency comparison) without any repair acting on it.
-		det := netsim.NewDetector(p.Eng, fabric, cfg.Net.Heartbeat)
-		det.Instrument(p.Trace(), p.Metrics())
-		for _, name := range append(append([]string{}, appReplicas...), dbReplicas...) {
-			if node, err := dep.NodeOf(name); err == nil {
+// installDetection arms the monitoring-only detector when recovery did
+// not create one, and feeds the detector's verdicts into the balancer
+// pools once per second: suspected replicas leave rotation (probe
+// requests bring them back in), cleared suspicions restore them.
+func (a *assembly) installDetection() {
+	if a.detector == nil && a.cfg.Monitor && a.fabric.Enabled() {
+		// The detector watches the initial replicas as a signal source
+		// (suspicion routing, incident timelines, the alert-latency
+		// comparison) without any repair acting on it.
+		det := a.newDetector()
+		for _, name := range append(append([]string{}, a.appReplicas...), a.dbReplicas...) {
+			if node, err := a.dep.NodeOf(name); err == nil {
 				det.Monitor(name, node)
 			}
 		}
-		detector = det
 	}
-
-	if detector != nil {
-		// Feed the failure detector's verdicts into the balancer pools
-		// once per second: suspected replicas leave rotation (probe
-		// requests bring them back in), cleared suspicions restore them.
-		plbW := dep.MustComponent("plb1").Content().(*core.PLBWrapper)
-		cw := dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper)
-		p.Eng.Every(1, "route-suspicions", func(float64) {
-			if b := plbW.Balancer(); b != nil {
-				b.Pool().SyncSuspicions(detector)
-			}
-			if ctl := cw.Controller(); ctl != nil {
-				ctl.Pool().SyncSuspicions(detector)
-			}
-		})
+	if a.detector == nil {
+		return
 	}
+	a.p.Eng.Every(1, "route-suspicions", func(float64) {
+		for _, pl := range []*selector.Pool{a.appPool(), a.dbPool()} {
+			if pl != nil {
+				pl.SyncSuspicions(a.detector)
+			}
+		}
+	})
+}
 
-	var harness *invariant.Harness
-	var doubleRepair *invariant.DoubleRepair
-	if cfg.Invariants {
-		harness = invariant.NewHarness(p.Eng)
-		harness.Tail = p.Trace().Tail
-		if cfg.InvariantPeriod > 0 {
-			harness.Period = cfg.InvariantPeriod
+// installInvariants registers the invariant checkers, run every
+// InvariantPeriod and at every reconfiguration boundary.
+func (a *assembly) installInvariants() {
+	if !a.cfg.Invariants {
+		return
+	}
+	p, dep := a.p, a.dep
+	a.harness = invariant.NewHarness(p.Eng)
+	a.harness.Tail = p.Trace().Tail
+	if a.cfg.InvariantPeriod > 0 {
+		a.harness.Period = a.cfg.InvariantPeriod
+	}
+	componentState := func(name string) (fractal.State, error) {
+		c, err := dep.Component(name)
+		if err != nil {
+			return fractal.Stopped, err
 		}
-		cw := dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper)
-		plbW := dep.MustComponent("plb1").Content().(*core.PLBWrapper)
-		componentState := func(name string) (fractal.State, error) {
-			c, err := dep.Component(name)
-			if err != nil {
-				return fractal.Stopped, err
-			}
-			return c.State(), nil
+		return c.State(), nil
+	}
+	appAgree := invariant.NewBalancerAgreement("plb1/"+a.appTier.TierName(), func() []string {
+		b := a.plb.Balancer()
+		if b == nil || !b.Running() {
+			return nil
 		}
-		appAgree := invariant.NewBalancerAgreement("plb1/"+appTier.TierName(), func() []string {
-			b := plbW.Balancer()
-			if b == nil || !b.Running() {
-				return nil
-			}
-			return b.Workers()
-		}, appTier)
-		appAgree.Pendings = func() map[string]int {
-			b := plbW.Balancer()
-			if b == nil {
-				return nil
-			}
-			return b.Pendings()
+		return b.Workers()
+	}, a.appTier)
+	appAgree.Pendings = func() map[string]int {
+		if pl := a.appPool(); pl != nil {
+			return pl.Pendings()
 		}
-		appAgree.ComponentState = componentState
-		appAgree.NodeOf = dep.NodeOf
-		dbAgree := invariant.NewBalancerAgreement("cjdbc1/"+dbTier.TierName(), func() []string {
-			ctl := cw.Controller()
-			if ctl == nil || !ctl.Running() {
-				return nil
+		return nil
+	}
+	dbAgree := invariant.NewBalancerAgreement("cjdbc1/"+a.dbTier.TierName(), func() []string {
+		ctl := a.cjdbc.Controller()
+		if ctl == nil || !ctl.Running() {
+			return nil
+		}
+		names := []string{}
+		for _, b := range ctl.Backends() {
+			if b.State == cjdbc.Active {
+				names = append(names, b.Name)
 			}
-			var names []string
-			for _, b := range ctl.Backends() {
-				if b.State == cjdbc.Active {
-					names = append(names, b.Name)
+		}
+		return names
+	}, a.dbTier)
+	for _, agree := range []*invariant.BalancerAgreement{appAgree, dbAgree} {
+		agree.ComponentState = componentState
+		agree.NodeOf = dep.NodeOf
+	}
+	a.harness.Register(
+		invariant.NewCJDBCConsistency("cjdbc1", a.cjdbc.Controller),
+		invariant.NewNodeConservation(p.Pool),
+		appAgree,
+		dbAgree,
+		invariant.NewLifecycle(dep.Root, p.ManagementRoot()),
+	)
+	a.doubleRepair = invariant.NewDoubleRepair()
+	p.OnRepairDiscard(a.doubleRepair.Record)
+	a.harness.Register(a.doubleRepair)
+	if arb := a.arb; arb != nil {
+		a.harness.Register(invariant.NewArbiterLegality(arb.QuietSeconds, func() []invariant.ArbiterDecisionView {
+			ds := arb.Decisions()
+			out := make([]invariant.ArbiterDecisionView, len(ds))
+			for i, d := range ds {
+				out[i] = invariant.ArbiterDecisionView{
+					T:        d.T,
+					Priority: d.Priority,
+					Granted:  d.Granted,
+					Released: d.Reason == "released",
 				}
 			}
-			if names == nil {
-				names = []string{}
-			}
-			return names
-		}, dbTier)
-		dbAgree.ComponentState = componentState
-		dbAgree.NodeOf = dep.NodeOf
-		harness.Register(
-			invariant.NewCJDBCConsistency("cjdbc1", cw.Controller),
-			invariant.NewNodeConservation(p.Pool),
-			appAgree,
-			dbAgree,
-			invariant.NewLifecycle(dep.Root, p.ManagementRoot()),
-		)
-		doubleRepair = invariant.NewDoubleRepair()
-		p.OnRepairDiscard(doubleRepair.Record)
-		harness.Register(doubleRepair)
-		if arb != nil {
-			harness.Register(invariant.NewArbiterLegality(arb.QuietSeconds, func() []invariant.ArbiterDecisionView {
-				ds := arb.Decisions()
-				out := make([]invariant.ArbiterDecisionView, len(ds))
-				for i, d := range ds {
-					out[i] = invariant.ArbiterDecisionView{
-						T:        d.T,
-						Priority: d.Priority,
-						Granted:  d.Granted,
-						Released: d.Reason == "released",
-					}
-				}
-				return out
-			}))
-		}
-		p.OnReconfiguration(func(now float64, event string) { harness.CheckNow(event) })
-		harness.Start()
+			return out
+		}))
 	}
+	p.OnReconfiguration(func(now float64, event string) { a.harness.CheckNow(event) })
+	a.harness.Start()
+}
 
-	// Table 1 accounting: per-second CPU and memory across the nodes
-	// hosting components (static and dynamically added alike).
-	var cpuSum, memSum float64
-	var sampleCount int
-	var nodeSeconds float64
+// installAccounting samples Table 1's per-second CPU and memory across
+// the nodes hosting components (static and dynamically added alike),
+// and integrates the allocated nodes into the resource bill.
+func (a *assembly) installAccounting() {
+	p, res := a.p, a.res
 	readers := make(map[*Node]*cluster.UtilizationReader)
-	peak := p.Pool.AllocatedCount()
+	res.PeakNodesUsed = p.Pool.AllocatedCount()
 	p.Eng.Every(1, "node-accounting", func(now float64) {
 		var cpu, mem float64
 		var n int
-		for _, name := range dep.ComponentNames() {
-			node, err := dep.NodeOf(name)
+		for _, name := range a.dep.ComponentNames() {
+			node, err := a.dep.NodeOf(name)
 			if err != nil || node.Failed() {
 				continue
 			}
@@ -760,32 +829,33 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			n++
 		}
 		if n > 0 {
-			cpuSum += cpu / float64(n)
-			memSum += mem / float64(n)
-			sampleCount++
+			a.cpuSum += cpu / float64(n)
+			a.memSum += mem / float64(n)
+			a.samples++
 		}
 		alloc := p.Pool.AllocatedCount()
-		nodeSeconds += float64(alloc)
-		if alloc > peak {
-			peak = alloc
-		}
+		res.NodeSeconds += float64(alloc)
+		res.PeakNodesUsed = max(res.PeakNodesUsed, alloc)
 	})
+}
 
-	front := dep.MustComponent("plb1").Content().(*core.PLBWrapper).Balancer()
-
-	// In fluid mode the emulator drives only a sampled fraction of the
-	// population as real request chains; the rest is carried as a rate
-	// flow through the queue-theoretic station chain, whose per-tier
-	// utilization lands on the member nodes as background CPU load — the
-	// same meters the sizing sensors read.
+// installWorkload starts the client emulator, behind the network as the
+// pseudo-endpoint "client" when the fabric is on. In fluid mode the
+// emulator drives only a sampled fraction of the population as real
+// request chains; the rest is carried as a rate flow through the
+// queue-theoretic station chain, whose per-tier utilization lands on
+// the member nodes as background CPU load — the same meters the sizing
+// sensors read.
+func (a *assembly) installWorkload() error {
+	cfg, p := a.cfg, a.p
+	front := a.plb.Balancer()
 	driveProfile := cfg.Profile
-	var fnet *fluid.Network
-	if fluidOn {
+	if a.fluidOn {
 		sampled := rubis.ScaledProfile{Inner: cfg.Profile, Rate: cfg.FluidSampleRate, Min: cfg.FluidMinSampled}
 		driveProfile = sampled
 		demand := cfg.Mix.FluidDemand(*cfg.Dataset, cfg.Seed, fluidCalibrationSamples)
 		plbModel := front.FluidModel()
-		ctlModel := dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper).Controller().FluidModel()
+		ctlModel := a.cjdbc.Controller().FluidModel()
 		single := func(m fluid.ServiceModel) func() []*cluster.Node {
 			return func() []*cluster.Node {
 				if m.Up == nil || m.Up() {
@@ -795,35 +865,26 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			}
 		}
 		perQuery := demand.QueriesPerRequest * ctlModel.CostPerUnit
+		fixed := func(v float64) func(int) float64 { return func(int) float64 { return v } }
 		thrT, thrF := cfg.ThrashThreshold, cfg.ThrashFactor
 		stations := []*fluid.Station{
-			{
-				Name:    "plb",
-				Demand:  func(int) float64 { return plbModel.CostPerUnit },
-				Service: func(int) float64 { return plbModel.CostPerUnit },
-				Members: single(plbModel),
-			},
+			{Name: "plb", Demand: fixed(plbModel.CostPerUnit), Service: fixed(plbModel.CostPerUnit), Members: single(plbModel)},
 			{
 				Name:            "app",
 				Demand:          func(k int) float64 { return demand.App / float64(k) },
 				Service:         func(int) float64 { return demand.App },
-				Members:         appTier.Nodes,
+				Members:         a.appTier.Nodes,
 				ThrashThreshold: thrT,
 				ThrashFactor:    thrF,
 			},
-			{
-				Name:    "cjdbc",
-				Demand:  func(int) float64 { return perQuery },
-				Service: func(int) float64 { return perQuery },
-				Members: single(ctlModel),
-			},
+			{Name: "cjdbc", Demand: fixed(perQuery), Service: fixed(perQuery), Members: single(ctlModel)},
 			{
 				// Reads load-balance across the k replicas; RAIDb-1
 				// broadcasts every write to all of them.
 				Name:            "db",
 				Demand:          func(k int) float64 { return demand.DBRead/float64(k) + demand.DBWrite },
 				Service:         func(int) float64 { return demand.DBRead + demand.DBWrite },
-				Members:         dbTier.Nodes,
+				Members:         a.dbTier.Nodes,
 				ThrashThreshold: thrT,
 				ThrashFactor:    thrF,
 			},
@@ -835,27 +896,21 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			if rel < 0 || rel >= dur {
 				return 0
 			}
-			n := total.Active(rel) - sampled.Active(rel)
-			if n < 0 {
-				return 0
-			}
-			return float64(n)
+			return float64(max(total.Active(rel)-sampled.Active(rel), 0))
 		}
-		fnet = fluid.NewNetwork(fluid.Config{
+		a.fnet = fluid.NewNetwork(fluid.Config{
 			ThinkTime:    cfg.ThinkTime,
 			Population:   pop,
 			RecordSeries: true,
 		}, stations...)
 		barrier := sim.NewTickBarrier(p.Eng, cfg.FluidTick, "fluid:tick")
-		barrier.Register("network", fnet.Tick)
+		barrier.Register("network", a.fnet.Tick)
 		barrier.Start()
 	}
 
-	// With the fabric enabled the clients sit behind the network too, as
-	// the pseudo-endpoint "client".
 	em := NewEmulator(p.Eng, p.Net.RemoteHTTP(netsim.ClientEndpoint, "front", front), cfg.Mix, driveProfile, *cfg.Dataset)
 	em.ThinkTime = cfg.ThinkTime
-	if fluidOn {
+	if a.fluidOn {
 		// The workload series records the full (fluid + sampled)
 		// population, so plots and SLO context keep paper-scale numbers.
 		em.ReportProfile = cfg.Profile
@@ -868,93 +923,69 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		em.Chain = rubis.DefaultTransitions()
 	}
 	if err := em.Start(); err != nil {
-		return nil, err
+		return err
 	}
-	res.WorkloadStart = p.Eng.Now()
+	a.em = em
+	a.res.WorkloadStart = p.Eng.Now()
+	return nil
+}
 
-	// Introspection plane: client latency histogram, SLO engine and the
-	// snapshot publisher. Both tickers run unconditionally so the event
-	// schedule is identical whether or not anyone watches the run.
-	reg := p.Metrics()
-	em.Obs = obs.NewTierMetrics(reg, "client", "emulator")
-	res.RequestLatency = em.Obs.Latency
-
-	objs := cfg.SLOs
-	if objs == nil {
-		objs = DefaultSLOs()
+// installSLO adds the client latency histogram and the SLO engine. Its
+// ticker runs unconditionally, so the event schedule is identical
+// whether or not anyone watches the run.
+func (a *assembly) installSLO() {
+	reg := a.p.Metrics()
+	a.em.Obs = obs.NewTierMetrics(reg, "client", "emulator")
+	a.res.RequestLatency = a.em.Obs.Latency
+	a.objs = a.cfg.SLOs
+	if a.objs == nil {
+		a.objs = DefaultSLOs()
 	}
-	for i := range objs {
-		if objs[i].Probe == nil {
-			objs[i].Probe = scenarioProbe(&objs[i], em, res)
+	for i := range a.objs {
+		if a.objs[i].Probe == nil {
+			a.objs[i].Probe = scenarioProbe(&a.objs[i], a.em, a.res)
 		}
 	}
-	sloInterval := cfg.SLOInterval
-	if sloInterval <= 0 {
-		sloInterval = 10
+	interval := a.cfg.SLOInterval
+	if interval <= 0 {
+		interval = 10
 	}
-	slo := obs.NewSLOEngine(reg, sloInterval, objs)
-	p.Eng.Every(sloInterval, "slo-eval", slo.Evaluate)
-	for _, name := range sortedKeys(cfg.SLOTargets) {
-		slo.Retarget(name, cfg.SLOTargets[name])
+	a.slo = obs.NewSLOEngine(reg, interval, a.objs)
+	a.p.Eng.Every(interval, "slo-eval", a.slo.Evaluate)
+	for _, name := range sortedKeys(a.cfg.SLOTargets) {
+		a.slo.Retarget(name, a.cfg.SLOTargets[name])
 	}
+}
 
-	// Alerting plane: burn-rate rules over the SLO evaluation stream,
-	// streaming anomaly detectors over the client series, pool-skew rules
-	// over the routing reservoirs, and the incident correlator fed by
-	// detector suspicions, control-loop decisions and routing evictions.
-	// The ticker runs unconditionally and every rule only reads existing
-	// measurement streams, so enabling alerting never changes the
-	// trajectory — Tick is a pure observer of the run.
-	aeng := alert.NewEngine(cfg.Alerting, p.Trace())
-	aeng.Instrument(reg)
-	res.Alerts = aeng
+// installAlerting adds the alerting plane: burn-rate rules over the SLO
+// evaluation stream, streaming anomaly detectors over the client
+// series, pool-skew rules over the routing reservoirs, and the incident
+// correlator fed by detector suspicions, control-loop decisions and
+// routing evictions. The ticker runs unconditionally and every rule
+// only reads existing measurement streams, so enabling alerting never
+// changes the trajectory — Tick is a pure observer of the run.
+func (a *assembly) installAlerting() {
+	p, em := a.p, a.em
+	aeng := alert.NewEngine(a.cfg.Alerting, p.Trace())
+	aeng.Instrument(p.Metrics())
+	a.aeng, a.res.Alerts = aeng, aeng
 	if aeng.Enabled() {
 		acfg := aeng.Config()
-		burn := make(map[string]*alert.BurnRule, len(objs))
-		for _, o := range objs {
+		burn := make(map[string]*alert.BurnRule, len(a.objs))
+		for _, o := range a.objs {
 			br := alert.NewBurnRule(acfg, o.Name, o.Tier)
 			burn[o.Name] = br
 			aeng.AddRule(br)
 		}
-		slo.Observer = func(now float64, name, _ string, value float64, met bool) {
+		a.slo.Observer = func(now float64, name, _ string, value float64, met bool) {
 			if br := burn[name]; br != nil {
 				br.Observe(now, value, met)
 			}
 		}
-		latProbe := func() alert.Probe {
-			prev := -1.0
-			return func(now float64) (float64, bool) {
-				t0 := prev
-				prev = now
-				vs := windowValues(em.Stats().Latency, t0, now)
-				if t0 < 0 || len(vs) == 0 {
-					return 0, false
-				}
-				sort.Float64s(vs)
-				return metrics.Percentile(vs, 0.99), true
-			}
-		}
-		abandonProbe := func() alert.Probe {
-			var prevC, prevF uint64
-			primed := false
-			return func(now float64) (float64, bool) {
-				st := em.Stats()
-				dc, df := st.Completed-prevC, st.Failed-prevF
-				prevC, prevF = st.Completed, st.Failed
-				if !primed {
-					primed = true
-					return 0, false
-				}
-				if dc+df == 0 {
-					return 0, false
-				}
-				return float64(df) / float64(dc+df), true
-			}
-		}
-		aeng.AddRule(alert.NewZScoreRule(acfg, "anomaly:client-latency-p99", "client", "client", true, 0.3, latProbe()))
-		aeng.AddRule(alert.NewRateRule(acfg, "anomaly:client-abandon-rate", "client", "client", true, 0.02, abandonProbe()))
-		plbW := dep.MustComponent("plb1").Content().(*core.PLBWrapper)
-		cw := dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper)
+		latP99 := sinceLast(scenarioProbe(&SLObjective{Kind: obs.LatencyPercentile, Percentile: 0.99}, em, a.res))
+		abandonRate := sinceLast(scenarioProbe(&SLObjective{Kind: obs.AbandonRate}, em, a.res))
+		aeng.AddRule(alert.NewZScoreRule(acfg, "anomaly:client-latency-p99", "client", "client", true, 0.3, latP99))
+		aeng.AddRule(alert.NewRateRule(acfg, "anomaly:client-abandon-rate", "client", "client", true, 0.02, abandonRate))
 		poolStats := func(pool func() *selector.Pool) func() []alert.BackendStat {
 			return func() []alert.BackendStat {
 				pl := pool()
@@ -973,34 +1004,24 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 				return out
 			}
 		}
-		aeng.AddRule(alert.NewSkewRule(acfg, "skew:app-pool", "app", 0.1, poolStats(func() *selector.Pool {
-			if b := plbW.Balancer(); b != nil {
-				return b.Pool()
-			}
-			return nil
-		})))
-		aeng.AddRule(alert.NewSkewRule(acfg, "skew:db-pool", "db", 0.05, poolStats(func() *selector.Pool {
-			if ctl := cw.Controller(); ctl != nil {
-				return ctl.Pool()
-			}
-			return nil
-		})))
+		aeng.AddRule(alert.NewSkewRule(acfg, "skew:app-pool", "app", 0.1, poolStats(a.appPool)))
+		aeng.AddRule(alert.NewSkewRule(acfg, "skew:db-pool", "db", 0.05, poolStats(a.dbPool)))
 		// Causal context for the incident timelines.
 		p.OnReconfiguration(func(now float64, event string) {
 			aeng.Observe(now, "loop.reconfig", "control-loop", "", event, 0)
 		})
-		if b := plbW.Balancer(); b != nil {
-			b.Pool().OnEvict(func(name string) {
-				aeng.Observe(p.Eng.Now(), "route.evict", "router", name, "app pool evicted "+name, 0)
-			})
+		for _, tier := range []struct {
+			name string
+			pool *selector.Pool
+		}{{"app", a.appPool()}, {"db", a.dbPool()}} {
+			if tier.pool != nil {
+				tier.pool.OnEvict(func(name string) {
+					aeng.Observe(p.Eng.Now(), "route.evict", "router", name, tier.name+" pool evicted "+name, 0)
+				})
+			}
 		}
-		if ctl := cw.Controller(); ctl != nil {
-			ctl.Pool().OnEvict(func(name string) {
-				aeng.Observe(p.Eng.Now(), "route.evict", "router", name, "db pool evicted "+name, 0)
-			})
-		}
-		if detector != nil {
-			detector.OnTransition(func(now float64, target string, suspected, falsePositive bool) {
+		if a.detector != nil {
+			a.detector.OnTransition(func(now float64, target string, suspected, falsePositive bool) {
 				kind, detail := "detector.suspect", fmt.Sprintf("phi over threshold (false positive: %v)", falsePositive)
 				if !suspected {
 					kind, detail = "detector.clear", "phi back under threshold"
@@ -1010,398 +1031,414 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 	}
 	p.Eng.Every(aeng.Config().EvalIntervalSeconds, "alert-eval", aeng.Tick)
+}
 
-	// Live refreshable configuration: typed views over the refreshable
-	// sub-configs, a hub every change funnels through (operator schedule,
-	// chaos config events, admin POSTs), and subscriptions wiring each
-	// view to the live managers. Changes land at exact virtual ticks on
-	// the simulation goroutine and emit "config" trace spans, so retunes
-	// replay byte-identically with the same seed and schedule.
-	hub := refresh.NewHub(p.Trace())
-	crt := newConfigRuntime(hub,
-		cfg.AppSizing, cfg.DBSizing, cfg.Routing,
-		fabric.RPCBudgets(), slo.Targets(), aeng.Config())
-	if cfg.Managed {
-		res.AppManager.Watch(crt.appSizing)
-		res.DBManager.Watch(crt.dbSizing)
+// installRefresh adds live refreshable configuration: typed views over
+// the refreshable sub-configs, a hub every change funnels through
+// (operator schedule, chaos config events, admin POSTs), and
+// subscriptions wiring each view to the live managers. Changes land at
+// exact virtual ticks on the simulation goroutine and emit "config"
+// trace spans, so retunes replay byte-identically with the same seed
+// and schedule.
+func (a *assembly) installRefresh() {
+	a.hub = refresh.NewHub(a.p.Trace())
+	a.crt = newConfigRuntime(a.hub, a.cfg.AppSizing, a.cfg.DBSizing, a.cfg.Routing,
+		a.fabric.RPCBudgets(), a.slo.Targets(), a.aeng.Config())
+	if a.cfg.Managed {
+		a.res.AppManager.Watch(a.crt.appSizing)
+		a.res.DBManager.Watch(a.crt.dbSizing)
 	}
-	crt.routing.Subscribe(func(now float64, old, cur RoutingConfig) {
+	a.crt.routing.Subscribe(func(now float64, old, cur RoutingConfig) {
 		// Future (re)starts build pools with the new policies; live pools
 		// are swapped and retuned in place, keeping backend bookkeeping.
-		p.UpdateRouting(cur)
+		a.p.UpdateRouting(cur)
 		retune := func(pl *selector.Pool, name string, def selector.Policy) {
 			if pl == nil {
 				return
 			}
-			pol := def
-			if name != "" {
-				if parsed, err := selector.ParsePolicy(name); err == nil {
-					pol = parsed
-				}
+			if parsed, err := selector.ParsePolicy(name); name != "" && err == nil {
+				def = parsed
 			}
-			pl.SetPolicy(pol)
+			pl.SetPolicy(def)
 			pl.Retune(cur.HalfLifeSeconds, cur.ProbeAfterSeconds)
 		}
-		if w, ok := dep.MustComponent("plb1").Content().(*core.PLBWrapper); ok {
-			if b := w.Balancer(); b != nil {
-				retune(b.Pool(), cur.App, selector.RoundRobin)
-			}
-		}
-		if w, ok := dep.MustComponent("cjdbc1").Content().(*core.CJDBCWrapper); ok {
-			if ctl := w.Controller(); ctl != nil {
-				retune(ctl.Pool(), cur.DB, selector.LeastPending)
-			}
-		}
-		if c, err := dep.Component("l4"); err == nil {
-			if w, ok := c.Content().(*core.L4Wrapper); ok {
-				if sw := w.Switch(); sw != nil {
-					retune(sw.Pool(), cur.L4, selector.WeightedRoundRobin)
-				}
-			}
+		retune(a.appPool(), cur.App, selector.RoundRobin)
+		retune(a.dbPool(), cur.DB, selector.LeastPending)
+		if a.l4 != nil && a.l4.Switch() != nil {
+			retune(a.l4.Switch().Pool(), cur.L4, selector.WeightedRoundRobin)
 		}
 	})
-	crt.rpc.Subscribe(func(now float64, old, cur map[string]RPCBudget) {
-		fabric.SetRPCBudgets(cur)
+	a.crt.rpc.Subscribe(func(now float64, old, cur map[string]RPCBudget) {
+		a.fabric.SetRPCBudgets(cur)
 	})
-	crt.sloTargets.Subscribe(func(now float64, old, cur map[string]float64) {
+	a.crt.sloTargets.Subscribe(func(now float64, old, cur map[string]float64) {
 		for _, name := range sortedKeys(cur) {
-			slo.Retarget(name, cur[name])
+			a.slo.Retarget(name, cur[name])
 		}
 	})
-	crt.alerting.Subscribe(func(now float64, old, cur AlertConfig) {
-		aeng.Retune(cur)
+	a.crt.alerting.Subscribe(func(now float64, old, cur AlertConfig) {
+		a.aeng.Retune(cur)
 	})
+}
 
+// artifact is one rendered document of the run: an admin page refreshed
+// at every snapshot tick, a file written into MetricsDir at run end, or
+// both.
+type artifact struct {
+	page, file string
+	// render returns the document; nil means there is no file to write.
+	render func(now float64) []byte
+}
+
+// artifactTable lists every published page and end-of-run file.
+func (a *assembly) artifactTable() []artifact {
+	fluidFile := ""
+	if a.fnet != nil {
+		fluidFile = "fluid.json"
+	}
+	return []artifact{
+		{page: "/components", render: a.componentsPage},
+		{page: "/loops", render: a.loopsPage},
+		{page: "/healthz", render: a.healthPage},
+		{page: "/alerts", render: a.aeng.AlertsPage},
+		// Copied so a run without alerts still writes an empty file.
+		{file: "alerts.jsonl", render: func(float64) []byte { return append([]byte{}, a.aeng.AlertsJSONL()...) }},
+		{page: "/incidents", file: "incidents.json", render: a.aeng.IncidentsJSON},
+		{file: "slo_report.json", render: func(float64) []byte { return jsonDoc(a.res.SLOReport) }},
+		{file: "latency_budget.json", render: func(float64) []byte {
+			if a.res.LatencyBudget == nil {
+				return nil
+			}
+			return a.res.LatencyBudget.Marshal()
+		}},
+		{page: "/fluid", file: fluidFile, render: a.fluidPage},
+		{page: "/config", file: "config.json", render: a.crt.renderPage},
+	}
+}
+
+// writeFile writes one artifact into MetricsDir, keeping the first error.
+func (a *assembly) writeFile(name string, data []byte) {
+	if err := os.WriteFile(filepath.Join(a.cfg.MetricsDir, name), data, 0o644); err != nil && a.writeErr == nil {
+		a.writeErr = err
+	}
+}
+
+// installPublisher adds the admin plane: the config-drain ticker, the
+// live admin endpoint and the snapshot publisher, which refreshes the
+// plane gauges, the admin pages and the metrics-dir snapshots.
+func (a *assembly) installPublisher() error {
+	cfg, p, res := a.cfg, a.p, a.res
 	if cfg.MetricsDir != "" {
 		if err := os.MkdirAll(cfg.MetricsDir, 0o755); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	pub := obs.NewPublisher()
-	pub.SetPostHandler("/config", crt.handleConfigPost)
+	a.pub = obs.NewPublisher()
+	a.pub.SetPostHandler("/config", a.crt.handleConfigPost)
 	// The drain ticker runs unconditionally (like every other plane's
 	// ticker) so the event schedule never depends on HTTPAddr; without an
 	// admin endpoint no submission can ever be pending, so headless runs
 	// drain nothing. Live POSTs are wall-clock-timed — headless replays
 	// script the same changes via cfg.Operator instead.
 	p.Eng.Every(1, "config-drain", func(now float64) {
-		if hub.Drain(now) > 0 {
+		if a.hub.Drain(now) > 0 {
 			// Refresh the /config page right away so a live `jadectl
 			// config get` sees its own set without waiting for the next
 			// metrics snapshot. Only live submissions reach this branch,
 			// so headless trajectories are untouched.
-			pub.Set("/config", crt.renderPage(now))
+			a.pub.Set("/config", a.crt.renderPage(now))
 		}
 	})
 	if cfg.HTTPAddr != "" {
-		admin, aerr := obs.StartAdmin(cfg.HTTPAddr, pub)
-		if aerr != nil {
-			return nil, aerr
+		admin, err := obs.StartAdmin(cfg.HTTPAddr, a.pub)
+		if err != nil {
+			return err
 		}
-		res.Admin = admin
-		res.AdminAddr = admin.Addr()
+		res.Admin, res.AdminAddr = admin, admin.Addr()
 		if cfg.AdminReady != nil {
 			cfg.AdminReady(admin.Addr())
 		}
 	}
-	metricsInterval := cfg.MetricsInterval
-	if metricsInterval <= 0 {
-		metricsInterval = 60
+	interval := cfg.MetricsInterval
+	if interval <= 0 {
+		interval = 60
 	}
 	// Trace-plane loss counters: silent span/event drops would undermine
 	// any attribution built on spans, so they are first-class metrics.
+	reg := p.Metrics()
 	traceDropped := reg.Counter("jade_trace_dropped_spans_total", "Spans refused because the span store was full.")
 	traceEvicted := reg.Counter("jade_trace_evicted_events_total", "Events evicted from the trace ring buffer.")
 	var prevDropped, prevEvicted uint64
 	// Fluid-engine internals: per-station utilization/backlog/wait gauges
 	// refreshed at every snapshot tick (flat zeros in discrete mode keep
 	// the exposition shape identical across workload engines).
-	type fluidGaugeSet struct {
-		st                               *fluid.Station
-		rho, backlog, wait, pRho, pWait *obs.Gauge
+	type fluidGauge struct {
+		g    *obs.Gauge
+		read func() float64
 	}
-	var fluidGauges []fluidGaugeSet
-	if fnet != nil {
-		for _, s := range fnet.Stations() {
+	var gauges []fluidGauge
+	if a.fnet != nil {
+		for _, s := range a.fnet.Stations() {
 			lbl := obs.L("station", s.Name)
-			fluidGauges = append(fluidGauges, fluidGaugeSet{
-				st:      s,
-				rho:     reg.Gauge("jade_fluid_rho", "Fluid station member utilization last tick.", lbl),
-				backlog: reg.Gauge("jade_fluid_backlog", "Fluid station backlog beyond capacity (requests).", lbl),
-				wait:    reg.Gauge("jade_fluid_wait_seconds", "Fluid station per-request latency estimate.", lbl),
-				pRho:    reg.Gauge("jade_fluid_peak_rho", "Fluid station peak member utilization.", lbl),
-				pWait:   reg.Gauge("jade_fluid_peak_wait_seconds", "Fluid station peak latency estimate.", lbl),
-			})
+			for _, m := range []struct {
+				name, help string
+				read       func() float64
+			}{
+				{"jade_fluid_rho", "Fluid station member utilization last tick.", s.Rho},
+				{"jade_fluid_backlog", "Fluid station backlog beyond capacity (requests).", s.Backlog},
+				{"jade_fluid_wait_seconds", "Fluid station per-request latency estimate.", s.Wait},
+				{"jade_fluid_peak_rho", "Fluid station peak member utilization.", s.PeakRho},
+				{"jade_fluid_peak_wait_seconds", "Fluid station peak latency estimate.", s.PeakWait},
+			} {
+				gauges = append(gauges, fluidGauge{reg.Gauge(m.name, m.help, lbl), m.read})
+			}
 		}
 	}
-	var snapErr error
-	snapshot := func(now float64) {
+	a.artifacts = a.artifactTable()
+	a.snapshot = func(now float64) {
 		st := p.Trace().Stat()
 		traceDropped.Add(st.SpansDropped - prevDropped)
 		traceEvicted.Add(st.EventsEvicted - prevEvicted)
 		prevDropped, prevEvicted = st.SpansDropped, st.EventsEvicted
-		for _, fg := range fluidGauges {
-			fg.rho.Set(fg.st.Rho())
-			fg.backlog.Set(fg.st.Backlog())
-			fg.wait.Set(fg.st.Wait())
-			fg.pRho.Set(fg.st.PeakRho())
-			fg.pWait.Set(fg.st.PeakWait())
+		for _, g := range gauges {
+			g.g.Set(g.read())
 		}
 		if res.Admin == nil && cfg.MetricsDir == "" {
 			return // nobody watching: skip rendering, keep the schedule
 		}
 		snap := reg.Snapshot()
-		prom := obs.PrometheusText(snap)
-		js := obs.MetricsJSON(snap)
-		pub.Set("/metrics", prom)
-		pub.Set("/metrics.json", js)
-		pub.Set("/components", componentsPage(now, dep, p))
-		pub.Set("/loops", loopsPage(now, res))
-		pub.Set("/healthz", healthPage(now, p, dep, harness, slo, aeng))
-		pub.Set("/alerts", aeng.AlertsPage(now))
-		pub.Set("/incidents", aeng.IncidentsJSON(now))
-		pub.Set("/fluid", fluidPage(now, fnet))
-		pub.Set("/config", crt.renderPage(now))
-		if cfg.MetricsDir != "" {
-			base := filepath.Join(cfg.MetricsDir, fmt.Sprintf("metrics-t%08d", int64(math.Round(now))))
-			if err := os.WriteFile(base+".prom", prom, 0o644); err != nil && snapErr == nil {
-				snapErr = err
-			}
-			if err := os.WriteFile(base+".json", js, 0o644); err != nil && snapErr == nil {
-				snapErr = err
+		prom, js := obs.PrometheusText(snap), obs.MetricsJSON(snap)
+		a.pub.Set("/metrics", prom)
+		a.pub.Set("/metrics.json", js)
+		for _, art := range a.artifacts {
+			if art.page != "" {
+				a.pub.Set(art.page, art.render(now))
 			}
 		}
+		if cfg.MetricsDir != "" {
+			base := fmt.Sprintf("metrics-t%08d", int64(math.Round(now)))
+			a.writeFile(base+".prom", prom)
+			a.writeFile(base+".json", js)
+		}
 	}
-	snapshot(p.Eng.Now())
-	p.Eng.Every(metricsInterval, "obs-snapshot", snapshot)
+	a.snapshot(p.Eng.Now())
+	p.Eng.Every(interval, "obs-snapshot", a.snapshot)
+	return nil
+}
 
+// installFaults schedules the fault planes — the one-off failure, the
+// chaos schedule, the operator retunes and MTBF churn — and the
+// optional wall-clock pacing.
+func (a *assembly) installFaults() {
+	cfg, p, start := a.cfg, a.p, a.res.WorkloadStart
 	if cfg.FailComponent != "" {
 		p.Eng.After(cfg.FailAt, "inject-failure", func() {
-			if node, err := dep.NodeOf(cfg.FailComponent); err == nil {
+			if node, err := a.dep.NodeOf(cfg.FailComponent); err == nil {
 				node.Fail()
 			}
 		})
 	}
-	if len(cfg.Chaos) > 0 {
-		// Targets are resolved at fire time: a component discarded by a
-		// repair no longer resolves, and a Reboot names the node its
-		// earlier Crash actually hit.
-		crashed := map[string]*cluster.Node{}
-		resolve := func(target string) *cluster.Node {
-			if node, err := dep.NodeOf(target); err == nil {
-				return node
-			}
-			if node, ok := p.Pool.Lookup(target); ok {
-				return node
-			}
-			return nil
-		}
-		for _, ev := range cfg.Chaos.Sorted() {
-			ev := ev
-			p.Eng.At(res.WorkloadStart+ev.At, "chaos:"+string(ev.Kind), func() {
-				switch ev.Kind {
-				case invariant.Crash:
-					node := resolve(ev.Target)
-					if node == nil || node.Failed() {
-						return
-					}
-					p.Logf("chaos: crashing %s (%s)", node.Name(), ev.Target)
-					crashed[ev.Target] = node
-					node.Fail()
-					res.InjectedFailures++
-				case invariant.Reboot:
-					node := crashed[ev.Target]
-					if node == nil {
-						node = resolve(ev.Target)
-					}
-					if node != nil && node.Failed() {
-						p.Logf("chaos: rebooting %s (%s)", node.Name(), ev.Target)
-						node.Reboot()
-					}
-				case invariant.Slow:
-					node := resolve(ev.Target)
-					if node == nil || node.Failed() {
-						return
-					}
-					dur := ev.Duration
-					if dur <= 0 {
-						dur = 60
-					}
-					p.Logf("chaos: slowing %s (%s) for %.0f s", node.Name(), ev.Target, dur)
-					hog := node.Submit(1e12, nil, nil)
-					if hog != nil {
-						p.Eng.After(dur, "chaos:slow-end", func() { node.Cancel(hog) })
-					}
-				case invariant.Partition:
-					if !fabric.Enabled() {
-						p.Logf("chaos: partition event ignored (network fabric disabled)")
-						return
-					}
-					a := resolveEndpoints(dep, ev.A)
-					b := resolveEndpoints(dep, ev.B)
-					p.Logf("chaos: partitioning %v | %v", a, b)
-					id := fabric.Partition(a, b)
-					if ev.Duration > 0 {
-						p.Eng.After(ev.Duration, "chaos:partition-heal", func() {
-							p.Logf("chaos: healing partition %v | %v", a, b)
-							fabric.Heal(id)
-						})
-					}
-				case invariant.Heal:
-					if fabric.Enabled() {
-						p.Logf("chaos: healing all partitions")
-						fabric.HealAll()
-					}
-				case invariant.Config:
-					if err := hub.Apply(p.Eng.Now(), refresh.SourceChaos, ev.Patch); err != nil {
-						p.Logf("chaos: config patch rejected: %v", err)
-					} else {
-						p.Logf("chaos: applied config patch %s", ev.Patch)
-					}
-				default:
-					if cfg.ChaosHandler == nil || !cfg.ChaosHandler(res, ev) {
-						p.Logf("chaos: unhandled event kind %q on %s", ev.Kind, ev.Target)
-					}
-				}
-			})
-		}
+	crashed := map[string]*cluster.Node{}
+	for _, ev := range cfg.Chaos.Sorted() {
+		p.Eng.At(start+ev.At, "chaos:"+string(ev.Kind), func() { a.chaos(ev, crashed) })
 	}
 	for _, ev := range cfg.Operator.Sorted() {
-		ev := ev
-		p.Eng.At(res.WorkloadStart+ev.At, "config:operator", func() {
-			if err := hub.Apply(p.Eng.Now(), refresh.SourceOperator, ev.Patch); err != nil {
-				p.Logf("operator: config patch rejected: %v", err)
-			} else {
-				p.Logf("operator: applied config patch %s", ev.Patch)
-			}
-		})
+		p.Eng.At(start+ev.At, "config:operator", func() { a.applyPatch(refresh.SourceOperator, ev.Patch) })
 	}
 	if cfg.Pace > 0 {
 		wallStart := time.Now()
-		virtStart := p.Eng.Now()
 		p.Eng.Every(1, "pace", func(now float64) {
-			target := time.Duration(float64(time.Second) * (now - virtStart) / cfg.Pace)
+			target := time.Duration(float64(time.Second) * (now - start) / cfg.Pace)
 			if ahead := target - time.Since(wallStart); ahead > 0 {
 				time.Sleep(ahead)
 			}
 		})
 	}
 	if cfg.MTBFSeconds > 0 {
-		var scheduleCrash func()
-		scheduleCrash = func() {
-			delay := p.Eng.Exponential(cfg.MTBFSeconds)
-			p.Eng.After(delay, "chaos", func() {
-				if p.Eng.Now() >= res.WorkloadStart+cfg.Profile.Duration() {
-					return // workload over, stop injecting
-				}
-				// Crash a random currently deployed replica node (app or
-				// db tier; balancers and the controller are spared so
-				// availability stays attributable to replica repair).
-				var victims []string
-				for _, name := range appTier.ReplicaNames() {
-					victims = append(victims, name)
-				}
-				for _, name := range dbTier.ReplicaNames() {
-					victims = append(victims, name)
-				}
-				if len(victims) > 0 {
-					victim := victims[p.Eng.Rand().Intn(len(victims))]
-					if node, err := dep.NodeOf(victim); err == nil && !node.Failed() {
-						p.Logf("chaos: crashing %s (%s)", node.Name(), victim)
-						node.Fail()
-						res.InjectedFailures++
-						// The node is later repaired off-pool; reboot it
-						// so the pool does not starve under long churn.
-						p.Eng.After(60, "chaos:reboot", node.Reboot)
-					}
-				}
-				scheduleCrash()
+		a.scheduleCrash()
+	}
+}
+
+// applyPatch applies one live-configuration patch through the refresh
+// hub and logs the outcome under its source.
+func (a *assembly) applyPatch(source string, patch json.RawMessage) {
+	if err := a.hub.Apply(a.p.Eng.Now(), source, patch); err != nil {
+		a.p.Logf("%s: config patch rejected: %v", source, err)
+	} else {
+		a.p.Logf("%s: applied config patch %s", source, patch)
+	}
+}
+
+// crash fails node (nil or already failed: nothing happens) and counts
+// the injected failure.
+func (a *assembly) crash(node *cluster.Node, target string) bool {
+	if node == nil || node.Failed() {
+		return false
+	}
+	a.p.Logf("chaos: crashing %s (%s)", node.Name(), target)
+	node.Fail()
+	a.res.InjectedFailures++
+	return true
+}
+
+// chaos fires one chaos event. Targets resolve at fire time: a
+// component discarded by a repair no longer resolves, and a Reboot names
+// the node its earlier Crash actually hit.
+func (a *assembly) chaos(ev invariant.Event, crashed map[string]*cluster.Node) {
+	p, fabric := a.p, a.fabric
+	resolve := func(target string) *cluster.Node {
+		if node, err := a.dep.NodeOf(target); err == nil {
+			return node
+		}
+		if node, ok := p.Pool.Lookup(target); ok {
+			return node
+		}
+		return nil
+	}
+	switch ev.Kind {
+	case invariant.Crash:
+		if node := resolve(ev.Target); a.crash(node, ev.Target) {
+			crashed[ev.Target] = node
+		}
+	case invariant.Reboot:
+		node := crashed[ev.Target]
+		if node == nil {
+			node = resolve(ev.Target)
+		}
+		if node != nil && node.Failed() {
+			p.Logf("chaos: rebooting %s (%s)", node.Name(), ev.Target)
+			node.Reboot()
+		}
+	case invariant.Slow:
+		node := resolve(ev.Target)
+		if node == nil || node.Failed() {
+			return
+		}
+		dur := ev.Duration
+		if dur <= 0 {
+			dur = 60
+		}
+		p.Logf("chaos: slowing %s (%s) for %.0f s", node.Name(), ev.Target, dur)
+		if hog := node.Submit(1e12, nil, nil); hog != nil {
+			p.Eng.After(dur, "chaos:slow-end", func() { node.Cancel(hog) })
+		}
+	case invariant.Partition:
+		if !fabric.Enabled() {
+			p.Logf("chaos: partition event ignored (network fabric disabled)")
+			return
+		}
+		groupA, groupB := resolveEndpoints(a.dep, ev.A), resolveEndpoints(a.dep, ev.B)
+		p.Logf("chaos: partitioning %v | %v", groupA, groupB)
+		id := fabric.Partition(groupA, groupB)
+		if ev.Duration > 0 {
+			p.Eng.After(ev.Duration, "chaos:partition-heal", func() {
+				p.Logf("chaos: healing partition %v | %v", groupA, groupB)
+				fabric.Heal(id)
 			})
 		}
-		scheduleCrash()
+	case invariant.Heal:
+		if fabric.Enabled() {
+			p.Logf("chaos: healing all partitions")
+			fabric.HealAll()
+		}
+	case invariant.Config:
+		a.applyPatch(refresh.SourceChaos, ev.Patch)
+	default:
+		if a.cfg.ChaosHandler == nil || !a.cfg.ChaosHandler(a.res, ev) {
+			p.Logf("chaos: unhandled event kind %q on %s", ev.Kind, ev.Target)
+		}
 	}
+}
 
+// scheduleCrash arms the next MTBF crash after an exponential delay:
+// a random currently deployed replica node (app or db tier; balancers
+// and the controller are spared so availability stays attributable to
+// replica repair), until the workload ends.
+func (a *assembly) scheduleCrash() {
+	p := a.p
+	p.Eng.After(p.Eng.Exponential(a.cfg.MTBFSeconds), "chaos", func() {
+		if p.Eng.Now() >= a.res.WorkloadStart+a.cfg.Profile.Duration() {
+			return // workload over, stop injecting
+		}
+		victims := append(append([]string(nil), a.appTier.ReplicaNames()...), a.dbTier.ReplicaNames()...)
+		if len(victims) > 0 {
+			victim := victims[p.Eng.Rand().Intn(len(victims))]
+			if node, _ := a.dep.NodeOf(victim); a.crash(node, victim) {
+				// The node is later repaired off-pool; reboot it so the
+				// pool does not starve under long churn.
+				p.Eng.After(60, "chaos:reboot", node.Reboot)
+			}
+		}
+		a.scheduleCrash()
+	})
+}
+
+// run drives the engine through the workload and the drain window, then
+// collects the result and writes the end-of-run artifacts.
+func (a *assembly) run() (*ScenarioResult, error) {
+	cfg, p, res := a.cfg, a.p, a.res
 	p.Eng.RunUntil(res.WorkloadStart + cfg.Profile.Duration() + cfg.DrainSeconds)
-	hub.Close() // freeze the configuration: late POSTs get ErrClosed
-	res.ConfigChanges = crt.changes()
-	em.Stop()
+	a.hub.Close() // freeze the configuration: late POSTs get ErrClosed
+	res.ConfigChanges = a.crt.changes()
+	a.em.Stop()
 	res.WorkloadEnd = res.WorkloadStart + cfg.Profile.Duration()
-	if harness != nil {
-		harness.Stop()
-		res.InvariantViolation = harness.Violation()
-		res.InvariantChecks = harness.Checks()
+	if a.harness != nil {
+		a.harness.Stop()
+		res.InvariantViolation = a.harness.Violation()
+		res.InvariantChecks = a.harness.Checks()
 	}
-
-	res.Stats = em.Stats()
-	if fnet != nil {
-		rep := fnet.Report()
+	res.Stats = a.em.Stats()
+	if a.fnet != nil {
+		rep := a.fnet.Report()
 		res.Fluid = &rep
 	}
-	if sampleCount > 0 {
-		res.NodeCPUPercent = 100 * cpuSum / float64(sampleCount)
-		res.NodeMemPercent = 100 * memSum / float64(sampleCount)
+	if a.samples > 0 {
+		res.NodeCPUPercent = 100 * a.cpuSum / float64(a.samples)
+		res.NodeMemPercent = 100 * a.memSum / float64(a.samples)
 	}
-	res.PeakNodesUsed = peak
-	res.NodeSeconds = nodeSeconds
-	if recMgr != nil {
-		res.Repairs = recMgr.Repairs
+	if a.recMgr != nil {
+		res.Repairs = a.recMgr.Repairs
 	}
-	res.Net = fabric.Stats()
-	if detector != nil {
-		stats := detector.Stats()
+	res.Net = a.fabric.Stats()
+	if a.detector != nil {
+		stats := a.detector.Stats()
 		res.Detector = &stats
 	}
-	if doubleRepair != nil {
-		res.RepairDiscards = doubleRepair.Discards()
-		res.RepairsConfirmedLegal = doubleRepair.Confirmed()
+	if a.doubleRepair != nil {
+		res.RepairDiscards = a.doubleRepair.Discards()
+		res.RepairsConfirmedLegal = a.doubleRepair.Confirmed()
 	}
 	if cfg.Managed {
 		res.Reconfigurations = int(res.AppManager.Reactor.Grows + res.AppManager.Reactor.Shrinks +
 			res.DBManager.Reactor.Grows + res.DBManager.Reactor.Shrinks)
 	}
-	res.SLOReport = slo.Report()
+	res.SLOReport = a.slo.Report()
 	// Latency attribution: walk the traced span forest into per-request
 	// component breakdowns, and aggregate (with the fluid stations' wait
 	// estimates when the run was fluid) into the budget report.
 	if cfg.TraceRequests > 0 && !cfg.TraceOff {
 		res.Attribution = attrib.FromTracer(p.Trace())
 	}
-	if res.Attribution != nil || fnet != nil {
+	if res.Attribution != nil || a.fnet != nil {
 		analysis := res.Attribution
 		if analysis == nil {
 			analysis = &attrib.Analysis{}
 		}
-		res.LatencyBudget = attrib.BuildReport(analysis, fluidBudgetTiers(fnet))
+		res.LatencyBudget = attrib.BuildReport(analysis, fluidBudgetTiers(a.fnet))
 	}
-	snapshot(p.Eng.Now())
+	a.snapshot(p.Eng.Now())
 	if cfg.MetricsDir != "" {
-		if err := os.WriteFile(filepath.Join(cfg.MetricsDir, "alerts.jsonl"), aeng.AlertsJSONL(), 0o644); err != nil && snapErr == nil {
-			snapErr = err
-		}
-		if err := os.WriteFile(filepath.Join(cfg.MetricsDir, "incidents.json"), aeng.IncidentsJSON(p.Eng.Now()), 0o644); err != nil && snapErr == nil {
-			snapErr = err
-		}
-		if sloJSON, err := json.MarshalIndent(res.SLOReport, "", "  "); err == nil {
-			if werr := os.WriteFile(filepath.Join(cfg.MetricsDir, "slo_report.json"), append(sloJSON, '\n'), 0o644); werr != nil && snapErr == nil {
-				snapErr = werr
+		for _, art := range a.artifacts {
+			if art.file == "" {
+				continue
 			}
-		}
-		if res.LatencyBudget != nil {
-			if err := os.WriteFile(filepath.Join(cfg.MetricsDir, "latency_budget.json"), res.LatencyBudget.Marshal(), 0o644); err != nil && snapErr == nil {
-				snapErr = err
+			if data := art.render(p.Eng.Now()); data != nil {
+				a.writeFile(art.file, data)
 			}
-		}
-		if fnet != nil {
-			if err := os.WriteFile(filepath.Join(cfg.MetricsDir, "fluid.json"), fluidPage(p.Eng.Now(), fnet), 0o644); err != nil && snapErr == nil {
-				snapErr = err
-			}
-		}
-		if err := os.WriteFile(filepath.Join(cfg.MetricsDir, "config.json"), crt.renderPage(p.Eng.Now()), 0o644); err != nil && snapErr == nil {
-			snapErr = err
 		}
 	}
-	if snapErr != nil {
-		return nil, snapErr
+	if a.writeErr != nil {
+		return nil, a.writeErr
 	}
 	return res, nil
 }
@@ -1450,6 +1487,21 @@ func scenarioProbe(obj *SLObjective, em *Emulator, res *ScenarioResult) func(t0,
 	return func(float64, float64) (float64, bool) { return 0, false }
 }
 
+// sinceLast adapts a window probe to an alert probe over the window
+// since its previous call. The first call primes the probe (a rate
+// probe's counters) and reports nothing.
+func sinceLast(probe func(t0, t1 float64) (float64, bool)) alert.Probe {
+	prev := -1.0
+	return func(now float64) (float64, bool) {
+		t0 := prev
+		prev = now
+		if v, ok := probe(t0, now); ok && t0 >= 0 {
+			return v, true
+		}
+		return 0, false
+	}
+}
+
 // Introspection document schemas.
 const (
 	// ComponentsSchema identifies the /components Fractal-tree document.
@@ -1476,7 +1528,7 @@ type fluidStationDoc struct {
 // rate, response estimate, and every station's ρ/backlog/wait with
 // peaks. Discrete runs serve the same document with Enabled false, so
 // scrapers need no mode awareness.
-func fluidPage(now float64, fnet *fluid.Network) []byte {
+func (a *assembly) fluidPage(now float64) []byte {
 	doc := struct {
 		Schema      string            `json:"schema"`
 		Time        float64           `json:"time"`
@@ -1486,7 +1538,7 @@ func fluidPage(now float64, fnet *fluid.Network) []byte {
 		Completed   float64           `json:"completed"`
 		Stations    []fluidStationDoc `json:"stations"`
 	}{Schema: FluidSchema, Time: now, Stations: []fluidStationDoc{}}
-	if fnet != nil {
+	if fnet := a.fnet; fnet != nil {
 		doc.Enabled = true
 		doc.RatePerSec = fnet.Rate()
 		doc.ResponseSec = fnet.Response()
@@ -1504,8 +1556,7 @@ func fluidPage(now float64, fnet *fluid.Network) []byte {
 			})
 		}
 	}
-	b, _ := json.MarshalIndent(doc, "", "  ")
-	return append(b, '\n')
+	return jsonDoc(doc)
 }
 
 // ValidateFluidPage checks a jade-fluid/v1 document (/fluid,
@@ -1566,42 +1617,47 @@ func fluidBudgetTiers(fnet *fluid.Network) []attrib.FluidTier {
 	return out
 }
 
-// componentsPage renders the deployed application and management trees.
-func componentsPage(now float64, dep *Deployment, p *Platform) []byte {
-	doc := struct {
-		Schema string         `json:"schema"`
-		Time   float64        `json:"time"`
-		Roots  []fractal.View `json:"roots"`
-	}{ComponentsSchema, now, []fractal.View{dep.Root.View(), p.ManagementRoot().View()}}
-	b, _ := json.MarshalIndent(doc, "", "  ")
+// jsonDoc renders v as an indented JSON document, or nil when v does
+// not marshal.
+func jsonDoc(v any) []byte {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil
+	}
 	return append(b, '\n')
 }
 
+// componentsPage renders the deployed application and management trees.
+func (a *assembly) componentsPage(now float64) []byte {
+	return jsonDoc(struct {
+		Schema string         `json:"schema"`
+		Time   float64        `json:"time"`
+		Roots  []fractal.View `json:"roots"`
+	}{ComponentsSchema, now, []fractal.View{a.dep.Root.View(), a.p.ManagementRoot().View()}})
+}
+
 // loopsPage renders the sizing control loops' live status.
-func loopsPage(now float64, res *ScenarioResult) []byte {
+func (a *assembly) loopsPage(now float64) []byte {
 	loops := []obs.LoopStatus{}
-	if res.AppManager != nil {
-		loops = append(loops, res.AppManager.Status(now))
+	for _, m := range []*SizingManager{a.res.AppManager, a.res.DBManager} {
+		if m != nil {
+			loops = append(loops, m.Status(now))
+		}
 	}
-	if res.DBManager != nil {
-		loops = append(loops, res.DBManager.Status(now))
-	}
-	doc := struct {
+	return jsonDoc(struct {
 		Schema string           `json:"schema"`
 		Time   float64          `json:"time"`
 		Loops  []obs.LoopStatus `json:"loops"`
-	}{LoopsSchema, now, loops}
-	b, _ := json.MarshalIndent(doc, "", "  ")
-	return append(b, '\n')
+	}{LoopsSchema, now, loops})
 }
 
 // healthPage renders the liveness + compliance document: the status
 // degrades to "degraded" (with the burning objective names) while any
 // SLO objective's latest evaluated window missed its bound.
-func healthPage(now float64, p *Platform, dep *Deployment, harness *invariant.Harness, slo *obs.SLOEngine, aeng *alert.Engine) []byte {
-	violation := harness != nil && harness.Violation() != nil
-	return obs.RenderHealth(now, p.Eng.Processed(), len(dep.ComponentNames()),
-		violation, slo.Burning(), aeng.ActiveCount())
+func (a *assembly) healthPage(now float64) []byte {
+	violation := a.harness != nil && a.harness.Violation() != nil
+	return obs.RenderHealth(now, a.p.Eng.Processed(), len(a.dep.ComponentNames()),
+		violation, a.slo.Burning(), a.aeng.ActiveCount())
 }
 
 // resolveEndpoints maps a chaos partition group to fabric endpoint

@@ -313,6 +313,9 @@ func (s Spec) Validate() error {
 	if s.Workload.ThinkTimeSeconds < 0 {
 		ve.addf("workload.think_time_seconds", "must be >= 0, got %g", s.Workload.ThinkTimeSeconds)
 	}
+	if s.Workload.DrainSeconds < 0 {
+		ve.addf("workload.drain_seconds", "must be >= 0, got %g", s.Workload.DrainSeconds)
+	}
 	switch s.Workload.Mode {
 	case "", WorkloadDiscrete, WorkloadFluid, WorkloadAuto:
 	default:
@@ -334,6 +337,12 @@ func (s Spec) Validate() error {
 		path string
 		cfg  SizingConfig
 	}{{"sizing.app", s.Sizing.App}, {"sizing.db", s.Sizing.DB}} {
+		if tier.cfg.Period < 0 {
+			ve.addf(tier.path+".period", "must be >= 0, got %g", tier.cfg.Period)
+		}
+		if tier.cfg.Period > 0 && tier.cfg.Window <= 0 {
+			ve.addf(tier.path+".window", "must be > 0 when %s.period is set, got %g", tier.path, tier.cfg.Window)
+		}
 		if tier.cfg.Min < 0 {
 			ve.addf(tier.path+".min", "must be >= 0, got %g", tier.cfg.Min)
 		}
@@ -353,6 +362,9 @@ func (s Spec) Validate() error {
 			ve.addf("faults.network.links["+key+"].loss", "must be within [0,1), got %g", l.Loss)
 		}
 	}
+	if s.Faults.FailComponent != "" && s.Faults.FailAt < 0 {
+		ve.addf("faults.fail_at", "must be >= 0, got %g", s.Faults.FailAt)
+	}
 	if len(s.Faults.Partition) > 0 && !n.Enabled {
 		ve.addf("faults.partition", "requires faults.network.enabled")
 	}
@@ -365,6 +377,9 @@ func (s Spec) Validate() error {
 		}
 	}
 	for i, ev := range s.Faults.Chaos {
+		if ev.At < 0 {
+			ve.addf(fmt.Sprintf("faults.chaos[%d].at", i), "must be >= 0, got %g", ev.At)
+		}
 		switch ev.Kind {
 		case ChaosCrash, ChaosReboot, ChaosSlow, ChaosHeal:
 		case ChaosPartition:

@@ -3,7 +3,9 @@ package jade
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"testing"
 )
 
@@ -83,6 +85,68 @@ func TestSpecValidate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestParseSpecRejectsEngineFaults feeds ParseSpec specs that used to
+// validate and then panic the simulation engine (a timer scheduled
+// before now, RunUntil into the past, a zero moving-average window);
+// each must come back as a FieldError at the offending path.
+func TestParseSpecRejectsEngineFaults(t *testing.T) {
+	const constant = `"workload": {"profile": {"kind": "constant", "clients": 10, "duration_seconds": 30}`
+	cases := []struct{ name, spec, path string }{
+		{"fail_at before start", `{"managed": true, ` + constant + `}, "faults": {"fail_at": -5, "fail_component": "tomcat1"}}`, "faults.fail_at"},
+		{"chaos at before start", `{"managed": true, ` + constant + `}, "faults": {"chaos": [{"at": -5, "kind": "crash", "target": "tomcat1"}]}}`, "faults.chaos[0].at"},
+		{"negative drain", `{"managed": true, ` + constant + `, "drain_seconds": -1000}}`, "workload.drain_seconds"},
+		{"negative sizing period", `{"managed": true, ` + constant + `}, "sizing": {"app": {"period": -1}}}`, "sizing.app.period"},
+		{"sizing period without window", `{"managed": true, ` + constant + `}, "sizing": {"db": {"period": 1}}}`, "sizing.db.window"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseSpec([]byte(tc.spec))
+			var ve *ValidationError
+			if !errors.As(err, &ve) {
+				t.Fatalf("want a *ValidationError, got %v", err)
+			}
+			for _, fe := range ve.Fields {
+				if fe.Path == tc.path {
+					return
+				}
+			}
+			t.Fatalf("no FieldError at %s: %v", tc.path, err)
+		})
+	}
+}
+
+// FuzzParseSpec: every input is either rejected or accepted, and an
+// accepted spec reaches a fixpoint — parse, marshal, parse, marshal
+// gives identical bytes.
+func FuzzParseSpec(f *testing.F) {
+	example, err := os.ReadFile("examples/netfault.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := ParseSpec(first)
+		if err != nil {
+			t.Fatalf("marshaled spec rejected: %v\n%s", err, first)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("no fixpoint:\n%s\nvs\n%s", first, second)
+		}
+	})
 }
 
 // TestSpecFlattenMatchesDefaultScenario pins the compat shim: the grouped
